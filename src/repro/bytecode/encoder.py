@@ -75,7 +75,7 @@ from repro.ir.params import (
 from repro.ir.uniquer import intern
 from repro.ir.value import SSAValue
 from repro.irdl import ast
-from repro.obs.instrument import OBS, count_ops
+from repro.obs.instrument import OBS
 
 # ---------------------------------------------------------------------------
 # Section identifiers (new sections get fresh ids; readers skip unknown ones)
@@ -429,8 +429,9 @@ def _write_op(
     values: dict[SSAValue, int],
     block_ids: dict[int, int],
     record: list[tuple[int, int]] | None = None,
-) -> None:
-    """Emit one op (and its regions) onto ``w``.
+) -> int:
+    """Emit one op (and its regions) onto ``w``; returns the number of
+    ops written, nested ones included.
 
     ``w`` is a :class:`Writer` or :class:`~repro.bytecode.wire.FileWriter`
     positioned at the start of the OPS payload.  With ``record`` set —
@@ -438,6 +439,7 @@ def _write_op(
     ``(byte_offset, byte_length)`` span within the payload is appended
     to it, in emission order, for the op-index section.
     """
+    written = 1
     w.varint(pools.string(op.name))
     w.varint(len(op.operands))
     for operand in op.operands:
@@ -479,11 +481,12 @@ def _write_op(
             w.varint(len(block.ops))
             for inner in block.ops:
                 if record is None:
-                    _write_op(w, inner, pools, values, inner_ids)
+                    written += _write_op(w, inner, pools, values, inner_ids)
                 else:
                     start = len(w)
-                    _write_op(w, inner, pools, values, inner_ids)
+                    written += _write_op(w, inner, pools, values, inner_ids)
                     record.append((start, len(w) - start))
+    return written
 
 
 def _locations_payload(root: Operation, pools: Pools) -> bytes | None:
@@ -595,13 +598,14 @@ def _index_payload(
     return w.getvalue()
 
 
-def _encode_module(root: Operation, index: bool = True) -> bytes:
+def _encode_module(root: Operation, index: bool = True) -> tuple[bytes, int]:
+    """The artifact, and the number of ops it holds."""
     pools = Pools()
     values = _number_values(root)
     ops = Writer()
     ops.varint(len(values))
     spans: list[tuple[int, int]] | None = [] if index else None
-    _write_op(ops, root, pools, values, {}, record=spans)
+    op_count = _write_op(ops, root, pools, values, {}, record=spans)
     locations = _locations_payload(root, pools)
     sections = [
         (SECTION_STRINGS, _strings_payload(pools)),
@@ -612,7 +616,7 @@ def _encode_module(root: Operation, index: bool = True) -> bytes:
         sections.append((SECTION_OP_INDEX, _index_payload(root, spans)))
     if locations is not None:
         sections.append((SECTION_LOCATIONS, locations))
-    return _assemble(KIND_MODULE, sections)
+    return _assemble(KIND_MODULE, sections), op_count
 
 
 def encode_module(root: Operation, *, index: bool = True) -> bytes:
@@ -623,16 +627,16 @@ def encode_module(root: Operation, *, index: bool = True) -> bytes:
     pre-index layout old writers emitted.
     """
     if not OBS.active:
-        return _encode_module(root, index)
+        return _encode_module(root, index)[0]
     import time
 
     start = time.perf_counter()
     with OBS.tracer.span("bytecode.encode", category="bytecode"):
-        data = _encode_module(root, index)
+        data, op_count = _encode_module(root, index)
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.modules").inc()
-        metrics.counter("bytecode.encode.ops").inc(count_ops(root))
+        metrics.counter("bytecode.encode.ops").inc(op_count)
         metrics.histogram("bytecode.encode.module_bytes").observe(len(data))
         metrics.timer("bytecode.encode.time").record(
             time.perf_counter() - start
@@ -651,7 +655,9 @@ def _stream_section(fileobj, section_id: int, payload_len: int) -> None:
     fileobj.write(varint_bytes(payload_len))
 
 
-def _encode_module_stream(root: Operation, fileobj, index: bool) -> int:
+def _encode_module_stream(root: Operation, fileobj,
+                          index: bool) -> tuple[int, int]:
+    """The number of bytes written, and of ops written."""
     if not fileobj.seekable():
         raise BytecodeError(
             "streaming encoding needs a seekable file (the OPS section "
@@ -676,7 +682,7 @@ def _encode_module_stream(root: Operation, fileobj, index: bool) -> int:
     ops = FileWriter(fileobj)
     ops.varint(len(values))
     spans: list[tuple[int, int]] | None = [] if index else None
-    _write_op(ops, root, pools, values, {}, record=spans)
+    op_count = _write_op(ops, root, pools, values, {}, record=spans)
     end = fileobj.tell()
     fileobj.seek(length_pos)
     fileobj.write(padded_varint_bytes(len(ops)))
@@ -715,7 +721,7 @@ def _encode_module_stream(root: Operation, fileobj, index: bool) -> int:
     if locations is not None:
         _stream_section(fileobj, SECTION_LOCATIONS, len(locations))
         fileobj.write(locations)
-    return fileobj.tell() - base
+    return fileobj.tell() - base, op_count
 
 
 def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int:
@@ -730,17 +736,17 @@ def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int
     patched after the payload, which is why the file must be seekable.
     """
     if not OBS.active:
-        return _encode_module_stream(root, fileobj, index)
+        return _encode_module_stream(root, fileobj, index)[0]
     import time
 
     start = time.perf_counter()
     with OBS.tracer.span("bytecode.encode_stream", category="bytecode"):
-        written = _encode_module_stream(root, fileobj, index)
+        written, op_count = _encode_module_stream(root, fileobj, index)
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.modules").inc()
         metrics.counter("bytecode.encode.streamed").inc()
-        metrics.counter("bytecode.encode.ops").inc(count_ops(root))
+        metrics.counter("bytecode.encode.ops").inc(op_count)
         metrics.histogram("bytecode.encode.module_bytes").observe(written)
         metrics.timer("bytecode.encode.time").record(
             time.perf_counter() - start

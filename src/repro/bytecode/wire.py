@@ -149,6 +149,10 @@ def padded_varint_bytes(value: int, width: int = PADDED_VARINT_WIDTH) -> bytes:
     return bytes(out)
 
 
+#: The encoding of each single-byte varint, allocated once.
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+
+
 class FileWriter:
     """A :class:`Writer` twin that appends to a binary file object.
 
@@ -171,6 +175,10 @@ class FileWriter:
         self._count += len(data)
 
     def varint(self, value: int) -> None:
+        if 0 <= value < 0x80:
+            self._file.write(_ONE_BYTE[value])
+            self._count += 1
+            return
         if value < 0:
             raise ValueError(f"varint cannot encode negative value {value}")
         out = bytearray()
@@ -239,6 +247,12 @@ class Reader:
         return value
 
     def varint(self) -> int:
+        pos = self.pos
+        if pos < self.end:
+            byte = self.data[pos]
+            if byte < 0x80:
+                self.pos = pos + 1
+                return byte
         result = 0
         shift = 0
         for count in range(_MAX_VARINT_BYTES):
@@ -254,7 +268,12 @@ class Reader:
 
     def bounded_varint(self, limit: int, what: str) -> int:
         """A varint that must be ``< limit`` (table indices, counts)."""
-        value = self.varint()
+        pos = self.pos
+        if pos < self.end and self.data[pos] < 0x80:
+            value = self.data[pos]
+            self.pos = pos + 1
+        else:
+            value = self.varint()
         if value >= limit:
             raise self.error(f"{what} {value} out of range (limit {limit})")
         return value

@@ -24,8 +24,7 @@ accepted; the embedded code is Python either way (IRDL-Py, see DESIGN.md).
 from __future__ import annotations
 
 from repro.irdl import ast
-from repro.textir.lexer import Lexer, Token, TokenKind
-from repro.utils.diagnostics import DiagnosticError
+from repro.textir.lexer import Token, TokenCursor, TokenKind
 from repro.utils.source import SourceFile
 
 #: Directive spellings accepted for embedded-code fields.  The key is the
@@ -44,52 +43,13 @@ _CODE_SPELLINGS = {
 }
 
 
-class IRDLParser:
+class IRDLParser(TokenCursor):
     """Recursive-descent parser producing :class:`~repro.irdl.ast` nodes."""
 
     def __init__(self, source: SourceFile | str, name: str = "<irdl>"):
         if isinstance(source, str):
             source = SourceFile(source, name)
-        self.source = source
-        self._lexer = Lexer(source)
-        self._lookahead: list[Token] = []
-
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        while len(self._lookahead) <= offset:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[offset]
-
-    def next(self) -> Token:
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind is kind and (text is None or token.text == text):
-            return self.next()
-        return None
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
-        if token.kind is not kind:
-            raise self.error(f"expected {what}, found {token.text!r}", token)
-        return self.next()
-
-    def expect_keyword(self, keyword: str) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.BARE_IDENT or token.text != keyword:
-            raise self.error(f"expected {keyword!r}, found {token.text!r}", token)
-        return self.next()
-
-    def error(self, message: str, token: Token | None = None) -> DiagnosticError:
-        span = (token or self.peek()).span
-        return DiagnosticError.at(message, span)
-
-    def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        super().__init__(source)
 
     # ------------------------------------------------------------------
     # Entry point

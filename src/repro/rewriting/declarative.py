@@ -53,7 +53,7 @@ from repro.ir.value import OpResult, SSAValue
 from repro.irdl.constraints import CannotInfer, ConstraintContext
 from repro.irdl.defs import OpDef
 from repro.rewriting.pattern import PatternRewriter, RewritePattern
-from repro.textir.lexer import Lexer, TokenKind
+from repro.textir.lexer import TokenCursor, TokenKind
 from repro.utils.diagnostics import DiagnosticError
 from repro.utils.source import SourceFile, Span
 
@@ -119,37 +119,11 @@ def _pattern_error(
 # Parser
 # ---------------------------------------------------------------------------
 
-class PatternParser:
+class PatternParser(TokenCursor):
     """Parses pattern files into :class:`PatternDecl` lists."""
 
     def __init__(self, text: str, name: str = "<patterns>"):
-        self.source = SourceFile(text, name)
-        self._lexer = Lexer(self.source)
-        self._lookahead = []
-
-    def peek(self):
-        if not self._lookahead:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[0]
-
-    def next(self):
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def expect(self, kind: TokenKind, what: str):
-        token = self.peek()
-        if token.kind is not kind:
-            raise DiagnosticError.at(
-                f"expected {what}, found {token.text!r}", token.span
-            )
-        return self.next()
-
-    def expect_keyword(self, keyword: str):
-        token = self.expect(TokenKind.BARE_IDENT, f"{keyword!r}")
-        if token.text != keyword:
-            raise DiagnosticError.at(
-                f"expected {keyword!r}, found {token.text!r}", token.span
-            )
-        return token
+        super().__init__(SourceFile(text, name))
 
     def parse_file(self) -> list[PatternDecl]:
         patterns = []

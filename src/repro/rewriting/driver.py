@@ -254,6 +254,8 @@ class GreedyPatternDriver:
 
     def run(self, root: Operation) -> bool:
         """Apply patterns under ``root``; returns True if anything changed."""
+        totals = (self.rounds, self.match_attempts, self.rewrites_applied,
+                  self.worklist_pushes)
         any_change = False
         with OBS.tracer.span("rewriting.greedy_driver", category="rewriting"):
             if self._table is not None:
@@ -267,12 +269,19 @@ class GreedyPatternDriver:
                         break
                     any_change = True
         if OBS.metrics.enabled:
+            # The attributes are lifetime totals; a reused driver adds
+            # only this run's share.
+            rounds, attempts, applied, pushes = totals
             scope = OBS.metrics.scope("rewriting.driver")
-            scope.counter("rounds").inc(self.rounds)
-            scope.counter("match_attempts").inc(self.match_attempts)
-            scope.counter("rewrites_applied").inc(self.rewrites_applied)
-            if self.worklist_pushes:
-                scope.counter("worklist_pushes").inc(self.worklist_pushes)
+            scope.counter("rounds").inc(self.rounds - rounds)
+            scope.counter("match_attempts").inc(self.match_attempts - attempts)
+            scope.counter("rewrites_applied").inc(
+                self.rewrites_applied - applied
+            )
+            if self.worklist_pushes > pushes:
+                scope.counter("worklist_pushes").inc(
+                    self.worklist_pushes - pushes
+                )
         return any_change
 
     # -- compiled worklist path ----------------------------------------

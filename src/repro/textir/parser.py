@@ -49,9 +49,8 @@ from repro.ir.region import Region
 from repro.ir.uniquer import intern as intern_attr
 from repro.ir.value import SSAValue
 from repro.obs import timing as _timing
-from repro.obs.instrument import OBS, count_ops
-from repro.textir.lexer import Lexer, Token, TokenKind
-from repro.utils.diagnostics import DiagnosticError
+from repro.obs.instrument import OBS
+from repro.textir.lexer import Token, TokenCursor, TokenKind
 from repro.utils.source import SourceFile
 
 _INT_TYPE_RE = re.compile(r"^(i|si|ui)([0-9]+)$")
@@ -73,17 +72,15 @@ class _PlaceholderValue(SSAValue):
         self.ref_name = ref_name
 
 
-class IRParser:
+class IRParser(TokenCursor):
     """Recursive-descent parser over the token stream."""
 
     def __init__(self, context: Context, source: SourceFile | str,
                  name: str = "<input>"):
         if isinstance(source, str):
             source = SourceFile(source, name)
+        super().__init__(source)
         self.context = context
-        self.source = source
-        self._lexer = Lexer(source)
-        self._lookahead: list[Token] = []
         # SSA name scopes: one per nested region, innermost last.  Uses may
         # forward-reference values defined later in the same region (CFG
         # back-edges); placeholders live in the scope they were created in.
@@ -91,37 +88,12 @@ class IRParser:
         self._pending_scopes: list[dict[str, list[_PlaceholderValue]]] = [{}]
         # Block scope stack, one entry per region being parsed.
         self._block_scopes: list[dict[str, Block]] = []
-
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        while len(self._lookahead) <= offset:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[offset]
-
-    def next(self) -> Token:
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind is kind and (text is None or token.text == text):
-            return self.next()
-        return None
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
-        if token.kind is not kind:
-            raise self.error(f"expected {what}, found {token.text!r}", token)
-        return self.next()
-
-    def error(self, message: str, token: Token | None = None) -> DiagnosticError:
-        span = (token or self.peek()).span
-        return DiagnosticError.at(message, span)
-
-    def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        # Builtin types by spelling (``i32``, ``f64``, ``index``), parsed
+        # once per parse.  Shaped types read further tokens, so they are
+        # never memoized.
+        self._builtin_types: dict[str, Attribute] = {}
+        #: Operations created so far, for the ``ops_parsed`` counter.
+        self.ops_parsed = 0
 
     # ------------------------------------------------------------------
     # SSA value scope
@@ -208,6 +180,15 @@ class IRParser:
 
     def _parse_builtin_type(self, token: Token) -> Attribute:
         name = token.text
+        parsed = self._builtin_types.get(name)
+        if parsed is None:
+            if name in ("tensor", "vector", "memref"):
+                return self._parse_shaped_type(name, token)
+            parsed = self._builtin_types[name] = self._scalar_type(token)
+        return parsed
+
+    def _scalar_type(self, token: Token) -> Attribute:
+        name = token.text
         match = _INT_TYPE_RE.match(name)
         if match:
             prefix, width = match.groups()
@@ -222,8 +203,6 @@ class IRParser:
             return btypes.FloatType.get(int(match.group(1)))
         if name == "index":
             return btypes.index
-        if name in ("tensor", "vector", "memref"):
-            return self._parse_shaped_type(name, token)
         raise self.error(f"unknown builtin type {name!r}", token)
 
     def _parse_shaped_type(self, kind: str, token: Token) -> Attribute:
@@ -637,6 +616,7 @@ class IRParser:
                 f"{len(result_tokens)} names were bound",
                 token,
             )
+        self.ops_parsed += 1
         for name_token, result in zip(result_tokens, op.results):
             self.define_value(name_token.value, result, name_token)
         # Provenance: an explicit trailing ``loc(...)`` wins (so printed
@@ -861,6 +841,7 @@ class IRParser:
         if len(ops) == 1 and ops[0].name == "builtin.module":
             return ops[0]
         region = Region([Block(ops=ops)])
+        self.ops_parsed += 1
         return self.context.create_operation(
             "builtin.module",
             regions=[region],
@@ -886,8 +867,7 @@ def parse_module(context: Context, text: str, name: str = "<input>") -> Operatio
     if metrics.enabled:
         scope = metrics.scope("textir")
         scope.timer("parser.parse_time").record(_timing.now() - start)
-        scope.counter("lexer.tokens").inc(parser._lexer.tokens_lexed)
-        ops_parsed = count_ops(module)
-        scope.counter("parser.ops_parsed").inc(ops_parsed)
-        scope.histogram("parser.module_ops").observe(ops_parsed)
+        scope.counter("lexer.tokens").inc(parser.lexer.tokens_lexed)
+        scope.counter("parser.ops_parsed").inc(parser.ops_parsed)
+        scope.histogram("parser.module_ops").observe(parser.ops_parsed)
     return module

@@ -62,9 +62,11 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for index, char in enumerate(self.contents):
-            if char == "\n":
-                starts.append(index + 1)
+        find = self.contents.find
+        index = find("\n")
+        while index != -1:
+            starts.append(index + 1)
+            index = find("\n", index + 1)
         self._line_starts = starts
 
     def position_of(self, offset: int) -> Position:

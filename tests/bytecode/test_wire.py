@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from repro.bytecode import is_bytecode
 from repro.bytecode.wire import (
     MAGIC,
     BytecodeError,
+    FileWriter,
     Reader,
     Writer,
     unzigzag,
@@ -42,6 +44,30 @@ class TestVarint:
         r = Reader(b"\x80\x80")
         with pytest.raises(BytecodeError):
             r.varint()
+
+    def test_file_writer_matches_writer(self):
+        values = [*range(300), 2**14, 2**32, 2**64 - 1]
+        expected = Writer()
+        handle = io.BytesIO()
+        streamed = FileWriter(handle)
+        for value in values:
+            expected.varint(value)
+            streamed.varint(value)
+        assert handle.getvalue() == expected.getvalue()
+        assert len(streamed) == len(expected)
+
+    def test_negative_value_rejected_by_both_writers(self):
+        for writer in (Writer(), FileWriter(io.BytesIO())):
+            with pytest.raises(ValueError, match="negative"):
+                writer.varint(-1)
+
+    def test_reading_past_the_end_reports_the_offset(self):
+        r = Reader(b"\x05")
+        assert r.varint() == 5
+        with pytest.raises(BytecodeError, match="at byte 1: truncated input"):
+            r.varint()
+        with pytest.raises(BytecodeError, match="at byte 1: truncated input"):
+            r.bounded_varint(16, "count")
 
 
 class TestSigned:
@@ -110,6 +136,16 @@ class TestReaderBounds:
         w.varint(10**9)
         r = Reader(w.getvalue())
         with pytest.raises(BytecodeError, match="count"):
+            r.bounded_varint(16, "count")
+
+    @pytest.mark.parametrize("value", [16, 127, 128])
+    def test_bounded_varint_limit_message(self, value):
+        w = Writer()
+        w.varint(value)
+        r = Reader(w.getvalue())
+        with pytest.raises(BytecodeError, match=(
+            rf"count {value} out of range \(limit 16\)"
+        )):
             r.bounded_varint(16, "count")
 
     def test_subreader_is_bounded(self):

@@ -1,5 +1,7 @@
 """The pipeline hooks: parser, instantiation, verifier, driver, passes."""
 
+import io
+
 import pytest
 
 from repro.builtin import default_context, f32
@@ -72,6 +74,69 @@ class TestParserInstrumentation:
         assert OBS.metrics.snapshot()["counters"] == {}
 
 
+def _example_modules() -> list[str]:
+    """Textual modules: custom formats and regions, several top-level
+    ops, generic-form synth IR, and IR generated from cmath's IRDL."""
+    from repro.corpus import register_bench_dialect, synthesize_module
+    from repro.irdl import register_irdl
+    from repro.irdl.irgen import IRGenerator, seed_values_dialect
+    from repro.textir import print_op
+
+    context = default_context()
+    defs = register_irdl(context, cmath_source())
+    defs += register_irdl(context, seed_values_dialect())
+    register_bench_dialect(context)
+    two_ops = (
+        '%a = "arith.constant"() {value = 1 : i32} : () -> (i32)\n'
+        '%b = "arith.constant"() {value = 2 : i32} : () -> (i32)\n'
+    )
+    return [
+        CONORM,
+        two_ops,
+        print_op(synthesize_module(300, seed=1, context=context)),
+        *(print_op(IRGenerator(context, defs, seed=seed).generate_module(12))
+          for seed in range(3)),
+    ]
+
+
+class TestOpCounters:
+    """The parser and the encoders count ops as they create or write
+    them, without a second walk; the totals equal a walk's."""
+
+    @pytest.fixture
+    def example_ctx(self, ctx):
+        from repro.corpus import register_bench_dialect
+        from repro.irdl import register_irdl
+        from repro.irdl.irgen import seed_values_dialect
+
+        register_irdl(ctx, seed_values_dialect())
+        register_bench_dialect(ctx)
+        return ctx
+
+    @pytest.mark.parametrize("text", _example_modules())
+    def test_parser_and_encoders_match_count_ops(self, example_ctx,
+                                                 metrics, text):
+        from repro.bytecode import encode_module, encode_module_stream
+
+        module = parse_module(example_ctx, text)
+        walked = count_ops(module)
+        assert metrics.value_of("textir.parser.ops_parsed") == walked
+        encode_module(module)
+        assert metrics.value_of("bytecode.encode.ops") == walked
+        encode_module_stream(module, io.BytesIO())
+        assert metrics.value_of("bytecode.encode.ops") == 2 * walked
+
+    def test_encoders_match_count_ops_on_the_corpus(self, hand_corpus,
+                                                    metrics):
+        from repro.bytecode import encode_module
+        from repro.irdl.irgen import IRGenerator
+
+        context, defs = hand_corpus
+        module = IRGenerator(context, defs, seed=0).generate_module(200)
+        encode_module(module)
+        assert metrics.value_of("bytecode.encode.ops") == count_ops(module)
+
+
 class TestInstantiateInstrumentation:
     def test_register_counts_dialects_ops_types(self, metrics):
         from repro.irdl import register_irdl
@@ -140,6 +205,22 @@ class TestDriverInstrumentation:
         assert metrics.value_of("rewriting.driver.rewrites_applied") == 1
         assert metrics.value_of("rewriting.driver.rounds") == 2
         assert metrics.value_of("rewriting.driver.match_attempts") >= 2
+
+    def test_reused_driver_reports_each_run_once(self, ctx, metrics):
+        names = [f"rewriting.driver.{counter}" for counter in (
+            "rounds", "match_attempts", "rewrites_applied", "worklist_pushes"
+        )]
+        first, rename_mul = self._build(ctx)
+        second, _ = self._build(ctx)
+        driver = GreedyPatternDriver(ctx, [rename_mul])
+        # ``worklist_pushes`` stays unrecorded on the round-based path.
+        driver.run(first)
+        once = [metrics.value_of(name) or 0 for name in names]
+        driver.run(second)
+        assert [metrics.value_of(name) or 0 for name in names] == [
+            2 * value for value in once
+        ]
+        assert once[2] == 1
 
 
 class TestPassManagerInstrumentation:
