@@ -82,9 +82,8 @@ class DynamicAttrDef(AttrDefBinding):
 
         self.type_def = type_def
         if codegen.enabled():
-            compiled = codegen.compile_param_verifier(type_def)
-            if compiled is not None:
-                self._compiled_params, self.generated_param_source = compiled
+            self._compiled_params, self.generated_param_source = (
+                codegen.compile_param_verifier(type_def))
 
     def verify_parameters(self, parameters: tuple[Any, ...]) -> None:
         if self._compiled_params is not None:

@@ -85,9 +85,7 @@ def make_op_verifier(op_def: OpDef) -> Callable[["Operation"], None]:
     generated_source: str | None = None
     impl: Callable[["Operation"], None] = plan.run
     if codegen.enabled():
-        compiled = codegen.compile_op_verifier(op_def, plan)
-        if compiled is not None:
-            impl, generated_source = compiled
+        impl, generated_source = codegen.compile_op_verifier(op_def, plan)
 
     def verify(op: "Operation") -> None:
         metrics = OBS.metrics

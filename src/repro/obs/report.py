@@ -45,8 +45,8 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "irdl.codegen.formats_compiled": "declarative formats precompiled "
     "to directive programs",
     "irdl.codegen.source_bytes": "generated verifier source bytes",
-    "irdl.codegen.fallbacks": "definitions kept on the interpretive "
-    "path (codegen fallback)",
+    "irdl.codegen.code_reused": "definitions whose code object came "
+    "from the shared-code cache",
     "bytecode.encode.modules": "IR modules serialized to bytecode",
     "bytecode.encode.ops": "operations serialized to bytecode",
     "bytecode.encode.dialects": "IRDL dialects serialized to bytecode",

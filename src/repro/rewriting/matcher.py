@@ -178,7 +178,7 @@ def _compile_bucket(root_name: str, slots: Sequence[PatternSlot]) -> _Bucket:
                        f"message='pattern did not match')")
     em.emit(1, "return -1")
     source = em.source()
-    fn = em.compile("__match", f"<matcher:{root_name}>")
+    fn = em.compile("__match")
     STATS["buckets_compiled"] += 1
     STATS["source_bytes"] += len(source)
     return _Bucket(fn, slots, source)

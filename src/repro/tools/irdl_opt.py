@@ -607,8 +607,7 @@ def dump_generated(ctx, name: str) -> int:
         source = getattr(verifier, "generated_source", None)
         if source is None:
             print(f"error: no generated verifier for {name!r} "
-                  "(codegen disabled or definition fell back to the "
-                  "interpretive plan)", file=sys.stderr)
+                  "(codegen disabled)", file=sys.stderr)
             return 1
         print(source, end="")
         return 0
@@ -617,8 +616,7 @@ def dump_generated(ctx, name: str) -> int:
         source = getattr(attr_binding, "generated_param_source", None)
         if source is None:
             print(f"error: no generated parameter verifier for {name!r} "
-                  "(codegen disabled or definition fell back to the "
-                  "interpretive path)", file=sys.stderr)
+                  "(codegen disabled)", file=sys.stderr)
             return 1
         print(source, end="")
         return 0
@@ -656,8 +654,6 @@ def _main(args: argparse.Namespace) -> int:
         return compile_irdl(args.compile_irdl, args.output)
     if args.dump_dialect:
         return dump_dialect(args.dump_dialect)
-    if args.corpus_stats:
-        return corpus_stats()
     if args.doc:
         return render_docs(args.doc)
     if args.recover_native:
@@ -678,6 +674,8 @@ def _main(args: argparse.Namespace) -> int:
             # --remarks-out (findings stream as "lint" remarks).
             exit_code = lint_files(args.lint, args.patterns,
                                    args.lint_format)
+        elif args.corpus_stats:
+            exit_code = corpus_stats()
         else:
             exit_code = _run_pipeline(args, observation)
     except DiagnosticError as err:

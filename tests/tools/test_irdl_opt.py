@@ -303,7 +303,7 @@ class TestObservabilityFlags:
         assert "irdl.codegen.definitions_compiled" in err
         assert "irdl.codegen.formats_compiled" in err
         assert "irdl.codegen.source_bytes" in err
-        assert "irdl.codegen.fallbacks" in err
+        assert "irdl.codegen.code_reused" in err
 
     def test_verify_each_adds_verify_rows_to_timing(self, tmp_path, cmath_irdl,
                                                     capsys):
