@@ -109,6 +109,8 @@ class AnalysisManager:
         analyses of the containing region chain may be stale, while
         sibling scopes (other regions of an ancestor op) are not.
         """
+        if not self._cache:
+            return 0
         dropped = 0
         for scope in _enclosing_chain(key):
             dropped += self.invalidate(scope)

@@ -87,10 +87,12 @@ class Block:
         return self.insert_op(op, self.index_of(anchor) + 1)
 
     def index_of(self, op: "Operation") -> int:
-        for index, candidate in enumerate(self.ops):
-            if candidate is op:
-                return index
-        raise InvalidIRStructureError(f"operation {op.name} is not in this block")
+        try:
+            return self.ops.index(op)
+        except ValueError:
+            raise InvalidIRStructureError(
+                f"operation {op.name} is not in this block"
+            ) from None
 
     def detach_op(self, op: "Operation") -> "Operation":
         self.ops.pop(self.index_of(op))
@@ -150,10 +152,8 @@ class Block:
 
     def drop_all_references(self) -> None:
         """Drop operand references of everything in this block (for erase)."""
-        for op in self.ops:
+        for op in self.walk():
             op.operands = ()
-            for region in op.regions:
-                region.drop_all_references()
 
     def __repr__(self) -> str:
         return f"<Block with {len(self.args)} args, {len(self.ops)} ops>"
