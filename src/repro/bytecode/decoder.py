@@ -69,7 +69,7 @@ from repro.ir.params import (
     StringParam,
     TypeIdParam,
 )
-from repro.ir.region import Region
+from repro.ir.region import MAX_NESTING, Region
 from repro.ir.value import SSAValue
 from repro.irdl import ast
 from repro.obs.instrument import OBS
@@ -447,8 +447,14 @@ class _ModuleReader:
         return self.strings.get(reader)
 
     def _read_op(
-        self, reader: Reader, values: _ValueTable, blocks: list[Block]
+        self,
+        reader: Reader,
+        values: _ValueTable,
+        blocks: list[Block],
+        depth: int = 0,
     ) -> Operation:
+        """One op and its regions; ``depth`` counts the regions around
+        it (0 for the root)."""
         name = self.strings.get(reader)
         operand_count = reader.bounded_varint(
             reader.remaining + 1, "operand count"
@@ -497,10 +503,16 @@ class _ModuleReader:
             reader.remaining + 1, "region count"
         )
         for _ in range(region_count):
-            op.add_region(self._read_region(reader, values))
+            op.add_region(self._read_region(reader, values, depth + 1))
         return op
 
-    def _read_region(self, reader: Reader, values: _ValueTable) -> Region:
+    def _read_region(
+        self, reader: Reader, values: _ValueTable, depth: int
+    ) -> Region:
+        if depth > MAX_NESTING:
+            raise reader.error(
+                f"regions nest deeper than the limit of {MAX_NESTING}"
+            )
         block_count = reader.bounded_varint(
             reader.remaining + 1, "block count"
         )
@@ -524,7 +536,9 @@ class _ModuleReader:
                 reader.remaining + 1, "op count"
             )
             for _ in range(op_count):
-                block.add_op(self._read_op(reader, values, region.blocks))
+                block.add_op(
+                    self._read_op(reader, values, region.blocks, depth)
+                )
         return region
 
 

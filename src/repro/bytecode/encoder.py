@@ -169,10 +169,14 @@ class Pools:
         self.strings: list[str] = []
         self._string_ids: dict[str, int] = {}
         self.attr_entries: list[bytes] = []
+        # Pool index by ``id`` of every attribute seen: each canonical
+        # instance, and each equal non-canonical one, which is interned
+        # once and then shares its canonical entry.
         self._attr_ids: dict[int, int] = {}
         self._param_ids: dict[ParamValue, int] = {}
-        # The uniquer holds attributes weakly; pin pooled ones so their
-        # ``id`` keys stay valid for the lifetime of this encoding.
+        # The uniquer holds attributes weakly; pin every attribute keyed
+        # above so its ``id`` stays valid for the lifetime of this
+        # encoding.
         self._pinned: list[Attribute] = []
 
     def string(self, text: str) -> int:
@@ -184,13 +188,19 @@ class Pools:
 
     def ref(self, value: object) -> int:
         """Pool index of an attribute or parameter value (children first)."""
+        index = self._attr_ids.get(id(value))
+        if index is not None:
+            return index
         if isinstance(value, Attribute):
-            value = intern(value)
-            index = self._attr_ids.get(id(value))
+            canonical = intern(value)
+            index = self._attr_ids.get(id(canonical))
             if index is None:
-                entry = self._encode_entry(value)
+                entry = self._encode_entry(canonical)
                 index = len(self.attr_entries)
                 self.attr_entries.append(entry)
+                self._attr_ids[id(canonical)] = index
+                self._pinned.append(canonical)
+            if canonical is not value:
                 self._attr_ids[id(value)] = index
                 self._pinned.append(value)
             return index

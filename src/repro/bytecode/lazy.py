@@ -588,7 +588,7 @@ class LazyModuleReader:
         module_reader = _ModuleReader(self.context, self._strings,
                                       self._attrs)
         region_blocks = list(handle.block.parent.blocks)
-        op = module_reader._read_op(sub, shard, region_blocks)
+        op = module_reader._read_op(sub, shard, region_blocks, depth=1)
         if not sub.at_end():
             raise sub.error(
                 f"{sub.remaining} trailing bytes after op "

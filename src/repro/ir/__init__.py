@@ -52,7 +52,7 @@ from repro.ir.params import (
     TypeIdParam,
     param_kind,
 )
-from repro.ir.region import Region
+from repro.ir.region import MAX_NESTING, Region
 from repro.ir.uniquer import DEFAULT_UNIQUER, AttributeUniquer, intern
 from repro.ir.value import BlockArgument, OpResult, SSAValue, Use
 
@@ -94,6 +94,7 @@ __all__ = [
     "StringParam",
     "TypeIdParam",
     "param_kind",
+    "MAX_NESTING",
     "Region",
     "DEFAULT_UNIQUER",
     "AttributeUniquer",

@@ -17,6 +17,16 @@ if TYPE_CHECKING:
     from repro.ir.value import SSAValue
 
 
+#: The deepest region nesting the textual parser and the IRBC decoder
+#: accept.  The root op's regions are level 1, so an op inside
+#: ``MAX_NESTING`` nested regions still parses and decodes; a region one
+#: level deeper is refused with a diagnostic.  Parsing, decoding,
+#: printing and ``Operation.verify`` recurse once per level; at this
+#: depth all four run from a test's stack at Python's default recursion
+#: limit (1,000).
+MAX_NESTING = 128
+
+
 class Region:
     """An ordered list of basic blocks; the first block is the entry."""
 

@@ -216,16 +216,17 @@ class Lexer:
         #: observability layer after a parse (repro.obs).
         self.tokens_lexed = 0
 
-    def tokens(self) -> Iterator[Token | LexError]:
-        """Every token of the source, then EOF forever.
+    def tokens(self, offset: int = 0) -> Iterator[Token | LexError]:
+        """Every token of the source from ``offset`` on, then EOF
+        forever.
 
         A lexing error ends the stream instead: its :class:`LexError`
         marker repeats forever.
         """
         source = self.source
         text = source.contents
-        pos = 0
-        for match in _FINDITER(text):
+        pos = offset
+        for match in _FINDITER(text, offset):
             start, end = match.span()
             if start != pos:
                 break  # the text at ``pos`` matched no token
@@ -330,6 +331,17 @@ class TokenCursor:
         if token.kind is None:
             raise token.error
         return token
+
+    def seek(self, offset: int) -> None:
+        """Drop the held tokens and continue the stream at ``offset``.
+
+        The caller vouches that ``offset`` is where a token (or trivia)
+        starts: the IR parser seeks past a spelling it has already
+        converted (see ``IRParser._spelled``).
+        """
+        self._pull = self.lexer.tokens(offset).__next__
+        self._token = self._pull()
+        self._ahead = None
 
     def next(self) -> Token:
         """Consume and return the current token."""

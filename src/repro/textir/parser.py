@@ -45,7 +45,7 @@ from repro.ir.params import (
     StringParam,
     TypeIdParam,
 )
-from repro.ir.region import Region
+from repro.ir.region import MAX_NESTING, Region
 from repro.ir.uniquer import intern as intern_attr
 from repro.ir.value import SSAValue
 from repro.obs import timing as _timing
@@ -60,6 +60,22 @@ _PARAM_INT_RE = re.compile(r"^(u?)int(8|16|32|64)_t$")
 # lexer splits it into INTEGER "0" followed by this BARE_IDENT (the same
 # mechanism shaped types like ``tensor<4x?xf32>`` rely on).
 _HEX_FLOAT_BITS_RE = re.compile(r"^x[0-9A-Fa-f]{1,16}$")
+
+# The spelling of a generic op's attribute dictionary and of its
+# signature, matched at the offset of the current ``{`` or ``:`` token
+# (``IRParser._spelled``).  Neither may hold the bracket that closes it
+# (so nothing nested closes it early), a quote (a string could hold that
+# bracket), a ``/`` (so could a comment) or a newline.  So the token
+# parse of a matched spelling, when it succeeds, ends exactly where the
+# match ends.
+_ATTR_DICT_RE = re.compile(r'\{[^{}"/\n]*\}')
+_SIGNATURE_RE = re.compile(
+    r':[ \t]*\([^()"/\n]*\)[ \t]*->[ \t]*\([^()"/\n]*\)'
+)
+
+#: Entries each per-parse spelling cache takes; later spellings still
+#: parse, uncached.  The size of ``codegen.shared_code``.
+SPELLING_CACHE_LIMIT = 1024
 
 
 class _PlaceholderValue(SSAValue):
@@ -92,6 +108,16 @@ class IRParser(TokenCursor):
         # once per parse.  Shaped types read further tokens, so they are
         # never memoized.
         self._builtin_types: dict[str, Attribute] = {}
+        # Generic ops' signatures and attribute dictionaries by spelling,
+        # converted once per parse (``_spelled``).
+        self._signatures: dict[
+            str, tuple[tuple[Attribute, ...], tuple[Attribute, ...]]
+        ] = {}
+        self._attr_dicts: dict[str, Attribute] = {}
+        # Regions the op tree has around the ops being parsed at the top
+        # level (``parse_module``), and the deepest level reached so far.
+        self._outer_levels = 0
+        self._deepest = 0
         #: Operations created so far, for the ``ops_parsed`` counter.
         self.ops_parsed = 0
 
@@ -588,6 +614,31 @@ class IRParser(TokenCursor):
         self.expect(TokenKind.RBRACE, "'}'")
         return intern_attr(battrs.DictionaryAttr(entries))
 
+    def _spelled(self, pattern: re.Pattern, cache: dict, convert: Callable):
+        """``convert()``, once per spelling ``pattern`` marks out at the
+        current token.
+
+        The spelling is looked up only when the pattern matches and no
+        lookahead token is held.  A hit seeks past it; a miss converts it
+        token by token, raising exactly what it raised before, and stores
+        the result while the cache has room.
+        """
+        token = self._token
+        if token.kind is None or self._ahead is not None:
+            return convert()
+        match = pattern.match(self.source.contents, token.start)
+        if match is None:
+            return convert()
+        spelling = match.group()
+        value = cache.get(spelling)
+        if value is not None:
+            self.seek(match.end())
+            return value
+        value = convert()
+        if len(cache) < SPELLING_CACHE_LIMIT:
+            cache[spelling] = value
+        return value
+
     def _parse_dialect_attribute(self, token: Token) -> Attribute:
         qualified = token.value
         if "." not in qualified:
@@ -699,18 +750,12 @@ class IRParser(TokenCursor):
             self.expect(TokenKind.RPAREN, "')'")
         attributes: dict[str, Attribute] = {}
         if self.peek().kind is TokenKind.LBRACE:
-            attr_dict = self._parse_dictionary_attribute()
+            attr_dict = self._spelled(_ATTR_DICT_RE, self._attr_dicts,
+                                      self._parse_dictionary_attribute)
             attributes = attr_dict.entries  # type: ignore[union-attr]
-        self.expect(TokenKind.COLON, "':' before the operation type")
-        self.expect(TokenKind.LPAREN, "'('")
-        operand_types: list[Attribute] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            operand_types.append(self.parse_type())
-            while self.accept(TokenKind.COMMA):
-                operand_types.append(self.parse_type())
-        self.expect(TokenKind.RPAREN, "')'")
-        self.expect(TokenKind.ARROW, "'->'")
-        result_types = self._parse_type_or_type_list()
+        operand_types, result_types = self._spelled(
+            _SIGNATURE_RE, self._signatures, self._parse_op_signature
+        )
         if len(operand_tokens) != len(operand_types):
             raise self.error(
                 f"operation has {len(operand_tokens)} operands but "
@@ -732,6 +777,21 @@ class IRParser(TokenCursor):
             )
         except UnregisteredConstructError as err:
             raise self.error(str(err), name_token) from err
+
+    def _parse_op_signature(
+        self,
+    ) -> tuple[tuple[Attribute, ...], tuple[Attribute, ...]]:
+        """A generic op's ``: (operand types) -> result types``."""
+        self.expect(TokenKind.COLON, "':' before the operation type")
+        self.expect(TokenKind.LPAREN, "'('")
+        operand_types: list[Attribute] = []
+        if self.peek().kind is not TokenKind.RPAREN:
+            operand_types.append(self.parse_type())
+            while self.accept(TokenKind.COMMA):
+                operand_types.append(self.parse_type())
+        self.expect(TokenKind.RPAREN, "')'")
+        self.expect(TokenKind.ARROW, "'->'")
+        return tuple(operand_types), tuple(self._parse_type_or_type_list())
 
     def _parse_custom_operation(self) -> Operation:
         parts = [self.expect(TokenKind.BARE_IDENT, "operation name").text]
@@ -787,7 +847,13 @@ class IRParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_region(self) -> Region:
-        self.expect(TokenKind.LBRACE, "'{'")
+        brace = self.expect(TokenKind.LBRACE, "'{'")
+        depth = len(self._block_scopes) + self._outer_levels + 1
+        if depth > MAX_NESTING:
+            raise self.error(
+                f"regions nest deeper than the limit of {MAX_NESTING}", brace
+            )
+        self._deepest = max(self._deepest, depth)
         region = Region()
         scope: dict[str, Block] = {}
         self._block_scopes.append(scope)
@@ -848,7 +914,25 @@ class IRParser(TokenCursor):
     def parse_module(self) -> Operation:
         """Parse a whole file: one op, or several wrapped in builtin.module."""
         ops: list[Operation] = []
+        # Count the region of the module that wraps the top-level ops,
+        # unless the file is one builtin.module op, so the tree built
+        # never nests deeper than MAX_NESTING.
+        token = self.peek()
+        self._outer_levels = int(
+            token.kind is not TokenKind.STRING
+            or token.value != "builtin.module"
+        )
         while not self.at_end():
+            if ops and not self._outer_levels:
+                # More ops follow a leading builtin.module: it is wrapped
+                # too, one level deeper than counted.
+                if self._deepest >= MAX_NESTING:
+                    raise self.error(
+                        "regions nest deeper than the limit of "
+                        f"{MAX_NESTING} once the top-level operations are "
+                        "wrapped in a module"
+                    )
+                self._outer_levels = 1
             ops.append(self.parse_operation())
         self._check_no_pending()
         if len(ops) == 1 and ops[0].name == "builtin.module":

@@ -26,6 +26,7 @@ from repro.ir.operation import Operation
 from repro.ir.params import ParamValue
 from repro.ir.region import Region
 from repro.ir.value import SSAValue
+from repro.textir.parser import SPELLING_CACHE_LIMIT
 
 
 class Printer:
@@ -45,6 +46,11 @@ class Printer:
         self._block_names: dict[Block, str] = {}
         self._next_value = 0
         self._next_block = 0
+        # Type spellings, each rendered once per printer (up to
+        # SPELLING_CACHE_LIMIT types).  Keyed by the type: equality is
+        # structural and bit-exact for float parameters, so equal types
+        # always print alike.
+        self._type_spellings: dict[Attribute, str] = {}
 
     # ------------------------------------------------------------------
     # Low-level emission
@@ -97,11 +103,25 @@ class Printer:
         self.write(f"%{self.name_of(value)}")
 
     def print_type(self, type_attr: Attribute) -> None:
-        if isinstance(type_attr, DynamicParametrizedAttribute):
-            self.write(f"!{type_attr.attr_name}")
-            self._print_dynamic_params(type_attr)
-            return
-        self.write(str(type_attr))
+        self.write(self._type_spelling(type_attr))
+
+    def _type_spelling(self, type_attr: Attribute) -> str:
+        """The text ``print_type`` writes for ``type_attr``."""
+        spelling = self._type_spellings.get(type_attr)
+        if spelling is None:
+            if isinstance(type_attr, DynamicParametrizedAttribute):
+                stream, self.stream = self.stream, io.StringIO()
+                try:
+                    self.write(f"!{type_attr.attr_name}")
+                    self._print_dynamic_params(type_attr)
+                    spelling = self.stream.getvalue()
+                finally:
+                    self.stream = stream
+            else:
+                spelling = str(type_attr)
+            if len(self._type_spellings) < SPELLING_CACHE_LIMIT:
+                self._type_spellings[type_attr] = spelling
+        return spelling
 
     def _print_dynamic_params(self, attr: DynamicParametrizedAttribute) -> None:
         if not attr.parameters:
@@ -151,7 +171,8 @@ class Printer:
         from repro.ir.exceptions import VerifyError
 
         if op.results:
-            self.print_list(op.results, self.print_operand)
+            name_of = self.name_of
+            self.write(", ".join(["%" + name_of(r) for r in op.results]))
             self.write(" = ")
         definition = op.definition
         if definition is not None and definition.has_custom_format():
@@ -177,9 +198,10 @@ class Printer:
             self.write(")")
 
     def _print_generic(self, op: Operation) -> None:
-        self.write(f'"{op.name}"(')
-        self.print_list(op.operands, self.print_operand)
-        self.write(")")
+        name_of = self.name_of
+        operands = op.operands
+        self.write(f'"{op.name}"('
+                   + ", ".join(["%" + name_of(v) for v in operands]) + ")")
         if op.successors:
             self.write("[")
             self.print_list(
@@ -194,11 +216,10 @@ class Printer:
             self.write(" {")
             self.print_list(sorted(op.attributes.items()), self._print_attr_entry)
             self.write("}")
-        self.write(" : (")
-        self.print_list(op.operands, lambda v: self.print_type(v.type))
-        self.write(") -> (")
-        self.print_list(op.results, lambda r: self.print_type(r.type))
-        self.write(")")
+        spell = self._type_spelling
+        self.write(" : (" + ", ".join([spell(v.type) for v in operands])
+                   + ") -> ("
+                   + ", ".join([spell(r.type) for r in op.results]) + ")")
 
     def _print_attr_entry(self, entry: tuple[str, Attribute]) -> None:
         key, value = entry

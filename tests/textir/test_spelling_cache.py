@@ -1,0 +1,282 @@
+"""The parser's spelling caches and the printer's type spellings.
+
+``IRParser`` converts each distinct spelling of a generic op's signature
+and attribute dictionary once per parse.  The caches must not show:
+printed text (with and without locations), IRBC bytes and diagnostics
+equal those of a parse with both spelling patterns disabled, in which
+every spelling is read token by token.
+"""
+
+import ast
+import pathlib
+import re
+import sys
+
+import pytest
+
+from repro.builtin import FloatAttr, default_context, f64
+from repro.bytecode import encode_module
+from repro.corpus import cmath_source, register_bench_dialect
+from repro.irdl import register_irdl
+from repro.irdl.irgen import IRGenerator
+from repro.textir import parser as parser_module
+from repro.textir import Printer, print_op
+from repro.textir.lexer import TokenCursor
+from repro.textir.parser import SPELLING_CACHE_LIMIT, IRParser
+from repro.utils import DiagnosticError
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+NEVER = re.compile(r"(?!)")
+
+
+def load_workloads():
+    """The end-to-end benchmark's workload module."""
+    path = str(REPO / "benchmarks" / "e2e")
+    sys.path.insert(0, path)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(path)
+    return workloads
+
+
+def example_constant(script: str, name: str) -> str:
+    """A string assigned to ``name`` at the top of an example script."""
+    path = REPO / "examples" / f"{script}.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path} assigns no {name}")
+
+
+def cmath_context(allow_unregistered=False):
+    context = default_context(allow_unregistered=allow_unregistered)
+    register_irdl(context, cmath_source())
+    return context
+
+
+def parse(context, text, cached=True):
+    """The parser after ``parse_module``, and the module it built."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not cached:
+            patch.setattr(parser_module, "_ATTR_DICT_RE", NEVER)
+            patch.setattr(parser_module, "_SIGNATURE_RE", NEVER)
+        parser = IRParser(context, text, "input.mlir")
+        return parser, parser.parse_module()
+
+
+def diagnostic(context, text, cached=True) -> str:
+    with pytest.raises(DiagnosticError) as info:
+        parse(context, text, cached)
+    return str(info.value)
+
+
+def assert_caches_do_not_show(context, text, repeats=True):
+    parser, module = parse(context, text)
+    reference, expected = parse(context, text, cached=False)
+    assert not reference._signatures and not reference._attr_dicts
+    assert (print_op(module, print_locations=True)
+            == print_op(expected, print_locations=True))
+    assert print_op(module) == print_op(expected)
+    assert encode_module(module) == encode_module(expected)
+    if repeats:
+        assert parser.lexer.tokens_lexed < reference.lexer.tokens_lexed
+
+
+# ----------------------------------------------------------------------
+# Same text, IRBC and locations with the caches on and off
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_workloads()
+
+
+def test_synth_module(workloads):
+    synth = workloads.Synth(0, n_ops=2000)
+    context = default_context()
+    register_bench_dialect(context)
+    assert_caches_do_not_show(context, synth.text)
+
+
+def test_rewrite_mix_module(workloads):
+    mix = workloads.RewriteMix(0, functions=4)
+    assert_caches_do_not_show(cmath_context(), mix.text)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_corpus_module(full_corpus, seed):
+    context, defs = full_corpus
+    module = IRGenerator(context, defs, seed=seed).generate_module(300)
+    assert_caches_do_not_show(context, print_op(module))
+
+
+def example_inputs() -> list[tuple[str, str]]:
+    """Every ``examples/**/*.mlir`` file, and the IR the example scripts
+    parse."""
+    files = [
+        (path.relative_to(REPO).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "examples").rglob("*.mlir"))
+    ]
+    return files + [
+        ("cmath_optimization.CONORM_BEFORE",
+         example_constant("cmath_optimization", "CONORM_BEFORE")),
+        ("lower_cmath_to_arith.PROGRAM",
+         example_constant("lower_cmath_to_arith", "PROGRAM")),
+    ]
+
+
+EXAMPLE_INPUTS = example_inputs()
+
+
+@pytest.mark.parametrize("name, text", EXAMPLE_INPUTS,
+                         ids=[name for name, _ in EXAMPLE_INPUTS])
+def test_example_input(name, text):
+    assert_caches_do_not_show(cmath_context(allow_unregistered=True), text,
+                              repeats=False)
+
+
+# ----------------------------------------------------------------------
+# Diagnostics
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def seeks(monkeypatch):
+    """How many times a parser seeks past a cached spelling."""
+    count = {"seeks": 0}
+    seek = TokenCursor.seek
+
+    def counted_seek(self, offset):
+        count["seeks"] += 1
+        return seek(self, offset)
+
+    monkeypatch.setattr(TokenCursor, "seek", counted_seek)
+    return count
+
+
+MISMATCHES = {
+    "operand count": (
+        '%a = "t.c"() : () -> (i32)\n'
+        '"t.u"(%a) : (i32) -> ()\n'
+        '"t.u"(%a, %a) : (i32) -> ()\n',
+        "input.mlir:3:1: error: operation has 2 operands but 1 operand "
+        "types",
+    ),
+    "operand type": (
+        '%a = "t.c"() : () -> (i32)\n'
+        '%f = "t.c"() : () -> (f32)\n'
+        '"t.u"(%a) : (i32) -> ()\n'
+        '"t.u"(%f) : (i32) -> ()\n',
+        "input.mlir:4:7: error: operand %f has type f32 but is used with "
+        "type i32",
+    ),
+    "result count": (
+        '%a = "t.c"() {v = 1} : () -> (i32)\n'
+        '%b, %c = "t.c"() {v = 1} : () -> (i32)\n',
+        "input.mlir:2:10: error: operation t.c produced 1 results but 2 "
+        "names were bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MISMATCHES))
+def test_cached_signature_mismatch_reports_as_before(what, seeks):
+    text, expected = MISMATCHES[what]
+    context = default_context(allow_unregistered=True)
+    reference = diagnostic(context, text, cached=False)
+    assert seeks["seeks"] == 0
+    message = diagnostic(context, text)
+    assert seeks["seeks"] > 0  # the failing op's signature was a hit
+    assert message == reference
+    assert message.startswith(expected + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    '"t.a"() : () -> (i32 $)\n',
+    '"t.a"() {a = 1 : i32 x} : () -> ()\n',
+    '%a = "t.a"() : () -> (i32)\n%b = "t.a"() : () -> (!t.unknown)\n',
+])
+def test_failed_spelling_raises_as_before(text):
+    context = default_context(allow_unregistered=True)
+    assert diagnostic(context, text) == diagnostic(context, text,
+                                                   cached=False)
+
+
+# ----------------------------------------------------------------------
+# Spellings the patterns exclude
+# ----------------------------------------------------------------------
+
+
+EXCLUDED = {
+    "quoted string": (
+        '"t.a"() {s = "x"} : () -> ()\n' * 2, "_attr_dicts",
+    ),
+    "nested function type": (
+        '%f = "t.a"() : () -> ((i32) -> (i32))\n'
+        '%g = "t.a"() : () -> ((i32) -> (i32))\n',
+        "_signatures",
+    ),
+    "multi-line dictionary": (
+        '"t.a"() {a = 1,\n  b = 2} : () -> ()\n' * 2, "_attr_dicts",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(EXCLUDED))
+def test_excluded_spelling_parses_token_by_token(what):
+    text, cache = EXCLUDED[what]
+    context = default_context(allow_unregistered=True)
+    parser, module = parse(context, text)
+    assert getattr(parser, cache) == {}
+    _, expected = parse(context, text, cached=False)
+    assert print_op(module) == print_op(expected)
+    first, second = module.regions[0].blocks[0].ops
+    assert first.attributes == second.attributes
+    assert [r.type for r in first.results] == [r.type for r in second.results]
+
+
+# ----------------------------------------------------------------------
+# Cache size
+# ----------------------------------------------------------------------
+
+
+def test_each_cache_stops_at_the_limit():
+    assert SPELLING_CACHE_LIMIT == 1024
+    text = "\n".join(f'%v{k} = "t.c"() {{v = {k} : i32}} : () -> (i{k})'
+                      for k in range(1, 1501))
+    context = default_context(allow_unregistered=True)
+    parser, module = parse(context, text)
+    assert len(parser._attr_dicts) == SPELLING_CACHE_LIMIT
+    assert len(parser._signatures) == SPELLING_CACHE_LIMIT
+    _, expected = parse(context, text, cached=False)
+    assert (print_op(module, print_locations=True)
+            == print_op(expected, print_locations=True))
+    assert len(module.regions[0].blocks[0].ops) == 1500
+    # The printer's type spellings stop at the same size.
+    printer = Printer()
+    printer.print_op(module)
+    assert len(printer._type_spellings) == SPELLING_CACHE_LIMIT
+    assert printer.getvalue() == print_op(expected)
+
+
+# ----------------------------------------------------------------------
+# Printer
+# ----------------------------------------------------------------------
+
+
+def test_printer_keeps_signed_zero_types_apart():
+    context = default_context(allow_unregistered=True)
+    register_irdl(context,
+                  "Dialect fp { Type t { Parameters (x: #f64_attr) } }")
+    negative = context.make_type("fp.t", [FloatAttr(-0.0, f64)])
+    positive = context.make_type("fp.t", [FloatAttr(0.0, f64)])
+    op = context.create_operation("test.op",
+                                  result_types=[negative, positive])
+    assert print_op(op).endswith(
+        ": () -> (!fp.t<-0.0 : f64>, !fp.t<0.0 : f64>)"
+    )
