@@ -10,7 +10,10 @@ but a** :class:`~repro.bytecode.wire.BytecodeError` (a
 :class:`~repro.utils.diagnostics.DiagnosticError`).  Three layers
 enforce it:
 
-* every primitive read is bounds-checked by :class:`wire.Reader`;
+* the header, section frames, attribute pool and dialects payload are
+  read through the bounds-checked :class:`wire.Reader`; the op stream
+  and the locations are decoded to varints in one pass each, and the op
+  reader checks every count and reference it takes from them;
 * every table reference is range-checked against the entries decoded so
   far (which also rules out reference cycles: an entry can only point
   backwards);
@@ -52,11 +55,14 @@ from repro.bytecode.wire import (
     SUPPORTED_VERSIONS,
     BytecodeError,
     Reader,
+    strings,
+    varint_offset,
+    varints,
 )
 from repro.ir.attributes import Attribute, TypeAttribute
 from repro.ir.block import Block
 from repro.ir.context import Context
-from repro.ir.location import FileLineColLoc, FusedLoc, Location
+from repro.ir.location import UNKNOWN_LOC, FileLineColLoc, FusedLoc, Location
 from repro.ir.operation import Operation
 from repro.ir.params import (
     ArrayParam,
@@ -171,8 +177,7 @@ def _require_section(
 
 def _read_string_table(sections: dict[int, Reader], name: str) -> list[str]:
     reader = _require_section(sections, enc.SECTION_STRINGS, "string", name)
-    count = reader.bounded_varint(reader.remaining + 1, "string count")
-    return [reader.string_bytes() for _ in range(count)]
+    return strings(reader.data, reader.pos, reader.end, name)
 
 
 class _StringTable:
@@ -198,11 +203,15 @@ class _AttrTable:
     decoded *before* it, so the pool is acyclic by construction.
     """
 
-    __slots__ = ("entries", "context")
+    __slots__ = ("entries", "context", "attrs", "types")
 
     def __init__(self, context: Context):
         self.entries: list[Attribute | ParamValue] = []
         self.context = context
+        #: Per entry: the attribute, or None for a bare parameter value.
+        self.attrs: list[Attribute | None] = []
+        #: Per entry: the type, or None for anything else.
+        self.types: list[Attribute | None] = []
 
     def get(self, reader: Reader) -> Attribute | ParamValue:
         index = reader.bounded_varint(len(self.entries), "attribute reference")
@@ -228,6 +237,20 @@ class _AttrTable:
         count = reader.bounded_varint(reader.remaining + 1, "attribute count")
         for _ in range(count):
             self.entries.append(self._read_entry(reader, strings))
+        self.attrs = [entry if isinstance(entry, Attribute) else None
+                      for entry in self.entries]
+        self.types = [entry if isinstance(entry, TypeAttribute) else None
+                      for entry in self.entries]
+
+    def ref_error(self, ref: int, want: str) -> str:
+        """Why entry ``ref`` is no ``want`` ("attribute" or "type")."""
+        if ref >= len(self.entries):
+            return (f"attribute reference {ref} out of range "
+                    f"(limit {len(self.entries)})")
+        entry = self.entries[ref]
+        if not isinstance(entry, Attribute):
+            return "attribute reference resolves to a bare parameter value"
+        return f"{want} reference resolves to non-{want} {entry!r}"
 
     def _read_entry(
         self, reader: Reader, strings: _StringTable
@@ -354,234 +377,444 @@ class _AttrTable:
 # ---------------------------------------------------------------------------
 
 
-class _ValueTable:
-    """Maps wire value indices to SSA values, with forward references.
+def _error(data, start: int, i: int, end: int, name: str,
+           message: str) -> BytecodeError:
+    """An error at the byte where varint ``i`` counted from ``start``
+    begins."""
+    return BytecodeError(
+        f"at byte {varint_offset(data, start, i, end)}: {message}", name
+    )
 
-    An operand may name a value whose defining op appears later in the
-    stream (CFG-dominance, not lexical order).  Such operands get a
-    typed placeholder that is patched via ``replace_all_uses_with`` once
-    the real definition arrives.
+
+class _Locations:
+    """The optional location section, read whole before any op is built.
+
+    A pool of entries (fused entries reference earlier slots, so the
+    pool is acyclic like the attribute pool) and a sparse mapping from
+    op pre-order index — the order ops are created in, which is
+    ``walk()`` — to a pool slot.  Both stay varints: a
+    :class:`~repro.ir.location.Location` is built only for a slot an op
+    asks for, once.
     """
 
-    __slots__ = ("total", "defined", "placeholders", "reader")
+    __slots__ = ("ints", "fail", "strings", "starts", "map", "pairs",
+                 "built")
 
-    def __init__(self, total: int, reader: Reader):
-        self.total = total
-        self.defined: dict[int, SSAValue] = {}
+    def __init__(self, section: Reader, strings: list[str]):
+        data, start, end, name = (section.data, section.pos, section.end,
+                                  section.name)
+        ints = self.ints = varints(data, start, end, name)
+        self.fail = lambda i, message: _error(data, start, i, end, name,
+                                              message)
+        self.strings = strings
+        #: Per pool slot, the index of its tag in ``ints``.
+        self.starts: list[int] = []
+        try:
+            i = self.pairs = self._read_pool(ints) + 1
+            count = ints[i - 1]
+        except IndexError:
+            raise self.fail(len(ints), "truncated input: the location pool "
+                                       "ends inside an entry") from None
+        if len(ints) - i < 2 * count:
+            raise self.fail(len(ints), f"truncated input: {count} location "
+                                       "mappings declared")
+        if len(ints) - i > 2 * count:
+            at = varint_offset(data, start, i + 2 * count, end)
+            raise BytecodeError(
+                f"at byte {at}: {end - at} trailing bytes after the last "
+                "location", name,
+            )
+        refs = ints[i + 1::2]
+        if refs and max(refs) >= len(self.starts):
+            j = next(j for j, ref in enumerate(refs)
+                     if ref >= len(self.starts))
+            raise self.fail(i + 2 * j + 2, f"location reference {refs[j]} "
+                            f"out of range (limit {len(self.starts)})")
+        self.map = dict(zip(ints[i::2], refs))
+        self.built: list[Location | None] = [None] * len(self.starts)
+
+    def _read_pool(self, ints: list[int]) -> int:
+        count = ints[0]
+        if count > len(ints) - 1:
+            raise self.fail(1, f"location count {count} out of range "
+                               f"(limit {len(ints)})")
+        i = 1
+        for ref in range(count):
+            self.starts.append(i)
+            tag = ints[i]
+            if tag == enc.LOC_FILE:
+                if ints[i + 1] >= len(self.strings):
+                    raise self.fail(i + 2, f"string reference {ints[i + 1]} "
+                                    f"out of range (limit {len(self.strings)})")
+                i += 4
+            elif tag == enc.LOC_FUSED:
+                arity = ints[i + 1]
+                i += 2
+                if arity > len(ints) - i:
+                    raise self.fail(i, f"fused location arity {arity} out of "
+                                       f"range (limit {len(ints) - i + 1})")
+                parts = ints[i:i + arity]
+                if parts and max(parts) >= ref:
+                    raise self.fail(i + arity, f"location reference "
+                                    f"{max(parts)} out of range (limit {ref})")
+                i += arity
+            else:
+                raise self.fail(i + 1, f"unknown location pool tag {tag}")
+        return i
+
+    def check(self, ops: int) -> None:
+        """Every mapped op index must name one of the module's ``ops``."""
+        if self.map and max(self.map) >= ops:
+            j = next(j for j in range(self.pairs, len(self.ints), 2)
+                     if self.ints[j] >= ops)
+            raise self.fail(j + 1, f"location op index {self.ints[j]} out of "
+                                   f"range (limit {ops})")
+
+    def build(self, ref: int) -> Location:
+        ints = self.ints
+        i = self.starts[ref]
+        if ints[i] == enc.LOC_FILE:
+            location = FileLineColLoc(self.strings[ints[i + 1]], ints[i + 2],
+                                      ints[i + 3])
+        else:
+            location = FusedLoc([self.built[part] or self.build(part)
+                                 for part in ints[i + 2:i + 2 + ints[i + 1]]])
+        self.built[ref] = location
+        return location
+
+
+class _Values:
+    """The module's SSA values by wire index.
+
+    Every definition lands at an explicit index: eager decoding defines
+    the span ``[0, total)`` in order, each lazily forced op the span its
+    op-index entry records.  An operand naming a value not defined yet
+    (later in the stream — CFG dominance, not lexical order — or in a
+    top-level op not forced yet) gets a typed placeholder, replaced via
+    ``replace_all_uses_with`` when the definition arrives.
+    """
+
+    __slots__ = ("table", "placeholders")
+
+    def __init__(self, ints: list[int], ops: Reader) -> None:
+        # Every value costs at least one byte of the op stream (its type
+        # reference), so a corrupt total cannot make a large table.
+        total = ints[0] if ints else 0
+        if total > ops.remaining:
+            raise BytecodeError(
+                f"at byte {ops.pos}: op stream declares {total} values in "
+                f"{ops.remaining} bytes", ops.name,
+            )
+        self.table: list[SSAValue | None] = [None] * total
         self.placeholders: dict[int, SSAValue] = {}
-        self.reader = reader
 
-    def define(self, value: SSAValue) -> None:
-        index = len(self.defined)
-        if index >= self.total:
-            raise self.reader.error(
-                f"op stream defines more than the declared "
-                f"{self.total} values"
-            )
-        self.defined[index] = value
-        placeholder = self.placeholders.pop(index, None)
-        if placeholder is not None:
-            if placeholder.type != value.type:
-                raise self.reader.error(
-                    f"value {index} was forward-referenced with type "
-                    f"{placeholder.type} but defined with type {value.type}"
-                )
-            placeholder.replace_all_uses_with(value)
-
-    def operand(self, index: int, value_type: Attribute) -> SSAValue:
-        value = self.defined.get(index)
-        if value is not None:
-            if value.type != value_type:
-                raise self.reader.error(
-                    f"operand references value {index} as {value_type}, "
-                    f"but it has type {value.type}"
-                )
-            return value
-        placeholder = self.placeholders.get(index)
-        if placeholder is None:
-            placeholder = self.placeholders[index] = SSAValue(value_type)
-        elif placeholder.type != value_type:
-            raise self.reader.error(
-                f"conflicting forward-reference types for value {index}: "
-                f"{placeholder.type} vs {value_type}"
-            )
-        return placeholder
-
-    def finish(self) -> None:
+    def check_resolved(self, name: str) -> None:
+        """Once every span is read, no placeholder may remain."""
         if self.placeholders:
-            missing = sorted(self.placeholders)
-            raise self.reader.error(
-                f"operands reference undefined values {missing}"
+            raise BytecodeError(
+                "operands reference undefined values "
+                f"{sorted(self.placeholders)}", name,
             )
 
 
-class _ModuleReader:
-    def __init__(
-        self,
-        context: Context,
-        strings: _StringTable,
-        attrs: _AttrTable,
-    ):
+class _OpReader:
+    """Builds ops from op records decoded to varints.
+
+    One reader serves eager decoding (the root record, whose regions
+    hold every other), lazy forcing (one top-level record per handle)
+    and the lazy reader's root shell.  :meth:`read` reads one record and
+    its regions from ``ints[i]`` on, defining values at the indices of
+    its value span and numbering ops in pre-order from its walk start;
+    an op's pre-order index is also the key of its location.
+    """
+
+    def __init__(self, context: Context, strings: list[str],
+                 attrs: _AttrTable, values: _Values,
+                 locations: _Locations | None, data, name: str):
         self.context = context
         self.strings = strings
         self.attrs = attrs
-        self.ops_decoded = 0
+        self.values = values
+        self.locations = locations
+        self.data = data
+        self.name = name
+        #: Op name reference -> (name, registered definition).
+        self.definitions: dict[int, tuple] = {}
+        # Per read: where each run of ``ints`` starts in ``data`` (the
+        # lazy shell reads several), the end of the records, the next
+        # value index and its limit, and the next op's walk index.
+        self.segments: list[tuple[int, int]] = []
+        self.end = 0
+        self.value = self.value_end = 0
+        self.walk = 0
 
-    def read(self, reader: Reader) -> Operation:
-        total_values = reader.varint()
-        values = _ValueTable(total_values, reader)
-        root = self._read_op(reader, values, [])
-        if not reader.at_end():
-            raise reader.error(
-                f"{reader.remaining} trailing bytes after the root operation"
+    def read(self, ints: list[int], i: int, start: int, end: int,
+             values: tuple[int, int], walk: int, blocks: list[Block],
+             depth: int, what: str) -> Operation:
+        """The op record at ``ints[i]``, which must be the last; ``ints``
+        are the varints of ``data[start:end]``."""
+        self.segments = [(0, start)]
+        self.end = end
+        self.value, self.value_end = values
+        self.walk = walk
+        try:
+            (op,), i = self._ops(ints, i, 1, blocks, depth)
+        except IndexError:
+            raise self.error(len(ints), "truncated input: an op record "
+                                        f"runs past byte {end}") from None
+        if i != len(ints):
+            at = self.offset(i)
+            raise BytecodeError(
+                f"at byte {at}: {end - at} trailing bytes after {what}",
+                self.name,
             )
-        values.finish()
-        return root
-
-    def _read_name_hint(self, reader: Reader) -> str | None:
-        flag = reader.varint()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise reader.error(f"invalid name-hint flag {flag}")
-        return self.strings.get(reader)
-
-    def _read_op(
-        self,
-        reader: Reader,
-        values: _ValueTable,
-        blocks: list[Block],
-        depth: int = 0,
-    ) -> Operation:
-        """One op and its regions; ``depth`` counts the regions around
-        it (0 for the root)."""
-        name = self.strings.get(reader)
-        operand_count = reader.bounded_varint(
-            reader.remaining + 1, "operand count"
-        )
-        operands = []
-        for _ in range(operand_count):
-            index = reader.bounded_varint(values.total, "operand value index")
-            value_type = self.attrs.get_type(reader)
-            operands.append(values.operand(index, value_type))
-        result_count = reader.bounded_varint(
-            reader.remaining + 1, "result count"
-        )
-        result_types = []
-        result_hints = []
-        for _ in range(result_count):
-            result_types.append(self.attrs.get_type(reader))
-            result_hints.append(self._read_name_hint(reader))
-        attr_count = reader.bounded_varint(
-            reader.remaining + 1, "attribute count"
-        )
-        attributes: dict[str, Attribute] = {}
-        for _ in range(attr_count):
-            attr_name = self.strings.get(reader)
-            attributes[attr_name] = self.attrs.get_attr(reader)
-        successor_count = reader.bounded_varint(
-            reader.remaining + 1, "successor count"
-        )
-        successors = []
-        for _ in range(successor_count):
-            block_index = reader.bounded_varint(
-                len(blocks), "successor block index"
-            )
-            successors.append(blocks[block_index])
-        op = self.context.create_operation(
-            name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-            successors=successors,
-        )
-        self.ops_decoded += 1
-        for result, hint in zip(op.results, result_hints):
-            result.name_hint = hint
-            values.define(result)
-        region_count = reader.bounded_varint(
-            reader.remaining + 1, "region count"
-        )
-        for _ in range(region_count):
-            op.add_region(self._read_region(reader, values, depth + 1))
         return op
 
-    def _read_region(
-        self, reader: Reader, values: _ValueTable, depth: int
-    ) -> Region:
+    def offset(self, i: int) -> int:
+        """Where ``ints[i]`` starts in ``data``."""
+        first, start = next(s for s in reversed(self.segments) if s[0] <= i)
+        return varint_offset(self.data, start, i - first, self.end)
+
+    def error(self, i: int, message: str) -> BytecodeError:
+        return BytecodeError(f"at byte {self.offset(i)}: {message}",
+                             self.name)
+
+    def _count(self, ints: list[int], i: int, what: str) -> int:
+        """The count at ``ints[i]``: never more than the varints left."""
+        if ints[i] > len(ints) - i - 1:
+            raise self._over(ints, i, what)
+        return ints[i]
+
+    def _over(self, ints: list[int], i: int, what: str) -> BytecodeError:
+        return self.error(i + 1, f"{what} {ints[i]} out of range "
+                                 f"(limit {len(ints) - i})")
+
+    def _ops(self, ints: list[int], i: int, count: int,
+             blocks: list[Block], depth: int) -> tuple[list[Operation], int]:
+        """``count`` op records from ``ints[i]`` on, regions included;
+        returns the ops and the index after them."""
+        strings = self.strings
+        attrs = self.attrs.attrs
+        types = self.attrs.types
+        table = self.values.table
+        definitions = self.definitions
+        locations = self.locations
+        located = locations.map if locations is not None else {}
+        ops = []
+        n = len(ints)
+        for _ in range(count):
+            name, op_def = (definitions.get(ints[i])
+                            or self._definition(ints[i], i))
+            k = ints[i + 1]
+            i += 2
+            if k > n - i:
+                raise self._over(ints, i - 1, "operand count")
+            operands = []
+            for _ in range(k):
+                index, ref = ints[i], ints[i + 1]
+                i += 2
+                value_type = types[ref] if ref < len(types) else None
+                if value_type is None:
+                    raise self.error(i, self.attrs.ref_error(ref, "type"))
+                if index >= len(table):
+                    raise self.error(i - 1, f"operand value index {index} "
+                                            f"out of range (limit {len(table)})")
+                value = table[index]
+                if value is None or value.type is not value_type:
+                    value = self._operand(index, value_type, i)
+                operands.append(value)
+            if ints[i]:
+                result_types, hints, i = self._typed(ints, i, "result count")
+            else:
+                result_types = hints = ()
+                i += 1
+            k = ints[i]
+            i += 1
+            if k > n - i:
+                raise self._over(ints, i - 1, "attribute count")
+            attributes = {}
+            for _ in range(k):
+                key, ref = ints[i], ints[i + 1]
+                i += 2
+                if key >= len(strings):
+                    raise self.error(i - 1, f"string reference {key} out of "
+                                            f"range (limit {len(strings)})")
+                attr = attrs[ref] if ref < len(attrs) else None
+                if attr is None:
+                    raise self.error(i, self.attrs.ref_error(ref, "attribute"))
+                attributes[strings[key]] = attr
+            k = ints[i]
+            i += 1
+            if k > n - i:
+                raise self._over(ints, i - 1, "successor count")
+            successors = []
+            for _ in range(k):
+                block_index = ints[i]
+                i += 1
+                if block_index >= len(blocks):
+                    raise self.error(i, f"successor block index {block_index} "
+                                        f"out of range (limit {len(blocks)})")
+                successors.append(blocks[block_index])
+            walk = self.walk
+            self.walk = walk + 1
+            ref = located.get(walk)
+            op = Operation(
+                name, operands, result_types, attributes, successors, (),
+                op_def, UNKNOWN_LOC if ref is None else (
+                    locations.built[ref] or locations.build(ref)),
+            )
+            if result_types:
+                self._define(op.results, hints, i)
+            k = ints[i]
+            i += 1
+            if k:
+                if k > n - i:
+                    raise self._over(ints, i - 1, "region count")
+                for _ in range(k):
+                    region, i = self._region(ints, i, depth + 1)
+                    op.add_region(region)
+                n = len(ints)
+            ops.append(op)
+        return ops, i
+
+    def _definition(self, ref: int, i: int) -> tuple:
+        if ref >= len(self.strings):
+            raise self.error(i + 1, f"string reference {ref} out of range "
+                                    f"(limit {len(self.strings)})")
+        name = self.strings[ref]
+        op_def = self.context.get_op_def(name)
+        if op_def is None and not self.context.allow_unregistered:
+            raise self.error(i + 1, f"operation {name!r} is not registered "
+                                    "(known dialects: "
+                                    f"{sorted(self.context.dialects)})")
+        definition = self.definitions[ref] = (name, op_def)
+        return definition
+
+    def _typed(self, ints: list[int], i: int,
+               what: str) -> tuple[list, list, int]:
+        """A count, then that many (type, name hint) pairs: the results
+        of an op or the arguments of a block."""
+        types = self.attrs.types
+        strings = self.strings
+        value_types = []
+        hints = []
+        count = ints[i]
+        i += 1
+        if count > len(ints) - i:
+            raise self._over(ints, i - 1, what)
+        for _ in range(count):
+            ref, flag = ints[i], ints[i + 1]
+            i += 2
+            value_type = types[ref] if ref < len(types) else None
+            if value_type is None:
+                raise self.error(i - 1, self.attrs.ref_error(ref, "type"))
+            value_types.append(value_type)
+            if not flag:
+                hints.append(None)
+                continue
+            if flag != 1:
+                raise self.error(i, f"invalid name-hint flag {flag}")
+            hint = ints[i]
+            i += 1
+            if hint >= len(strings):
+                raise self.error(i, f"string reference {hint} out of range "
+                                    f"(limit {len(strings)})")
+            hints.append(strings[hint])
+        return value_types, hints, i
+
+    def _define(self, new, hints: list, i: int) -> None:
+        """Define ``new`` values, with their name hints, at the next
+        indices of the span."""
+        v = self.value
+        if v + len(new) > self.value_end:
+            raise self.error(i, "more values defined than declared")
+        table = self.values.table
+        placeholders = self.values.placeholders
+        for value, hint in zip(new, hints):
+            value.name_hint = hint
+            if table[v] is not None:
+                raise self.error(i, f"value {v} defined twice")
+            table[v] = value
+            placeholder = placeholders.pop(v, None) if placeholders else None
+            if placeholder is not None:
+                if placeholder.type != value.type:
+                    raise self.error(i, (
+                        f"value {v} was forward-referenced with type "
+                        f"{placeholder.type} but defined with type "
+                        f"{value.type}"))
+                placeholder.replace_all_uses_with(value)
+            v += 1
+        self.value = v
+
+    def _operand(self, index: int, value_type: Attribute,
+                 i: int) -> SSAValue:
+        value = self.values.table[index]
+        if value is not None:
+            if value.type != value_type:
+                raise self.error(i, (
+                    f"operand references value {index} as {value_type}, "
+                    f"but it has type {value.type}"))
+            return value
+        placeholders = self.values.placeholders
+        placeholder = placeholders.get(index)
+        if placeholder is None:
+            placeholder = placeholders[index] = SSAValue(value_type)
+        elif placeholder.type != value_type:
+            raise self.error(i, (
+                f"conflicting forward-reference types for value {index}: "
+                f"{placeholder.type} vs {value_type}"))
+        return placeholder
+
+    def _region(self, ints: list[int], i: int,
+                depth: int) -> tuple[Region, int]:
         if depth > MAX_NESTING:
-            raise reader.error(
-                f"regions nest deeper than the limit of {MAX_NESTING}"
-            )
-        block_count = reader.bounded_varint(
-            reader.remaining + 1, "block count"
-        )
+            raise self.error(i, f"regions nest deeper than the limit of "
+                                f"{MAX_NESTING}")
+        count = self._count(ints, i, "block count")
+        i += 1
         region = Region()
-        for _ in range(block_count):
-            arg_count = reader.bounded_varint(
-                reader.remaining + 1, "block argument count"
-            )
-            arg_types = []
-            arg_hints = []
-            for _ in range(arg_count):
-                arg_types.append(self.attrs.get_type(reader))
-                arg_hints.append(self._read_name_hint(reader))
+        for _ in range(count):
+            arg_types, hints, i = self._typed(ints, i, "block argument count")
             block = Block(arg_types)
-            for arg, hint in zip(block.args, arg_hints):
-                arg.name_hint = hint
-                values.define(arg)
+            self._define(block.args, hints, i)
             region.add_block(block)
         for block in region.blocks:
-            op_count = reader.bounded_varint(
-                reader.remaining + 1, "op count"
-            )
-            for _ in range(op_count):
-                block.add_op(
-                    self._read_op(reader, values, region.blocks, depth)
-                )
-        return region
+            i = self._block_ops(ints, i, block, region.blocks, depth)
+        return region, i
+
+    def _block_ops(self, ints: list[int], i: int, block: Block,
+                   blocks: list[Block], depth: int) -> int:
+        """A block's op count and its ops; returns the index after them."""
+        ops, i = self._ops(ints, i + 1, self._count(ints, i, "op count"),
+                           blocks, depth)
+        for op in ops:
+            block.add_op(op)
+        return i
+
+    def finish(self, ints: list[int]) -> None:
+        """Checks once every value span has been read."""
+        if self.value != len(self.values.table):
+            raise self.error(len(ints), (
+                f"op stream defines {self.value} values, header declares "
+                f"{len(self.values.table)}"))
+        if self.locations is not None:
+            self.locations.check(self.walk)
 
 
-def _apply_locations(
-    reader: Reader, strings: _StringTable, root: Operation
-) -> None:
-    """Re-attach op locations from their optional section.
-
-    The pool is decoded in one forward pass (fused entries may only
-    reference earlier slots); the sparse mapping then patches ops by
-    their ``walk()`` pre-order index — the order the encoder used.
-    """
-    pool: list[Location] = []
-    count = reader.bounded_varint(reader.remaining + 1, "location count")
-    for _ in range(count):
-        tag = reader.varint()
-        if tag == enc.LOC_FILE:
-            filename = strings.get(reader)
-            line = reader.varint()
-            pool.append(FileLineColLoc(filename, line, reader.varint()))
-        elif tag == enc.LOC_FUSED:
-            arity = reader.bounded_varint(
-                reader.remaining + 1, "fused location arity"
-            )
-            parts = []
-            for _ in range(arity):
-                ref = reader.bounded_varint(len(pool), "location reference")
-                parts.append(pool[ref])
-            pool.append(FusedLoc(parts))
-        else:
-            raise reader.error(f"unknown location pool tag {tag}")
-    ops = list(root.walk())
-    mapping_count = reader.bounded_varint(
-        reader.remaining + 1, "location mapping count"
+def _read_tables(context: Context, sections: dict[int, Reader], name: str):
+    """The string table, attribute pool and locations op records refer
+    to, and the op section."""
+    string_table = _read_string_table(sections, name)
+    attrs = _AttrTable(context)
+    attrs.load(
+        _require_section(sections, enc.SECTION_ATTRS, "attribute", name),
+        _StringTable(string_table),
     )
-    for _ in range(mapping_count):
-        op_index = reader.bounded_varint(len(ops), "location op index")
-        ref = reader.bounded_varint(len(pool), "location reference")
-        ops[op_index].location = pool[ref]
-    if not reader.at_end():
-        raise reader.error(
-            f"{reader.remaining} trailing bytes after the last location"
-        )
+    section = sections.get(enc.SECTION_LOCATIONS)
+    locations = None if section is None else _Locations(section,
+                                                         string_table)
+    ops = _require_section(sections, enc.SECTION_OPS, "op", name)
+    return string_table, attrs, locations, ops
 
 
 @_wrap_errors
@@ -590,7 +823,7 @@ def decode_module(
 ) -> Operation:
     """Deserialize a module artifact into an operation tree.
 
-    Operations are created through ``context.create_operation``, so
+    Operations are bound to their definitions in ``context``, so
     dialects referenced by the module must already be registered (or the
     context must allow unregistered constructs).  Any malformed input
     raises :class:`BytecodeError`.
@@ -601,24 +834,22 @@ def decode_module(
     with OBS.tracer.span("bytecode.decode", category="bytecode"):
         reader = Reader(data, name)
         _read_header(reader, KIND_MODULE)
-        sections = _read_sections(reader)
-        strings = _StringTable(_read_string_table(sections, name))
-        attrs = _AttrTable(context)
-        attrs.load(
-            _require_section(sections, enc.SECTION_ATTRS, "attribute", name),
-            strings,
+        string_table, attrs, locations, ops = _read_tables(
+            context, _read_sections(reader), name
         )
-        module_reader = _ModuleReader(context, strings, attrs)
-        root = module_reader.read(
-            _require_section(sections, enc.SECTION_OPS, "op", name)
-        )
-        locations = sections.get(enc.SECTION_LOCATIONS)
-        if locations is not None:
-            _apply_locations(locations, strings, root)
+        ints = varints(data, ops.pos, ops.end, name)
+        values = _Values(ints, ops)
+        op_reader = _OpReader(context, string_table, attrs, values,
+                              locations, data, name)
+        root = op_reader.read(ints, 1, ops.pos, ops.end,
+                              (0, len(values.table)), 0, [], 0,
+                              "the root operation")
+        op_reader.finish(ints)
+        values.check_resolved(name)
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.decode.modules").inc()
-        metrics.counter("bytecode.decode.ops").inc(module_reader.ops_decoded)
+        metrics.counter("bytecode.decode.ops").inc(op_reader.walk)
         metrics.histogram("bytecode.decode.module_bytes").observe(len(data))
         metrics.timer("bytecode.decode.time").record(
             time.perf_counter() - start

@@ -5,10 +5,12 @@ Layout of an artifact (details in ``docs/serialization.md``)::
     MAGIC "IRBC" | varint format_version | byte kind | section*
     section ::= varint section_id | varint byte_length | payload
 
-A *module* artifact carries three sections — the string table, the
-attribute pool, and the op stream.  A *dialects* artifact carries the
-string table and the dialect-declaration tree.  Readers skip section ids
-they do not recognise, which is what buys forward compatibility.
+A *module* artifact carries the op stream, the op index (unless left
+out), the string table, the attribute pool and, if any op has one, the
+locations, in that order, whether written to memory or streamed to a
+file.  A *dialects* artifact carries the string table and the
+dialect-declaration tree.  Readers skip section ids they do not
+recognise, which is what buys forward compatibility.
 
 The attribute pool is the binary mirror of the PR 2 uniquer: every
 attribute is interned before pooling, so structurally equal attributes
@@ -52,11 +54,10 @@ from repro.bytecode.wire import (
     KIND_MODULE,
     MAGIC,
     BytecodeError,
-    FileWriter,
     Writer,
     padded_varint_bytes,
     varint_bytes,
-    varint_len,
+    zigzag,
 )
 from repro.ir.attributes import Attribute, DynamicParametrizedAttribute
 from repro.ir.location import FileLineColLoc, FusedLoc, Location
@@ -72,6 +73,7 @@ from repro.ir.params import (
     StringParam,
     TypeIdParam,
 )
+from repro.ir.region import MAX_NESTING, Region
 from repro.ir.uniquer import intern
 from repro.ir.value import SSAValue
 from repro.irdl import ast
@@ -97,7 +99,7 @@ SECTION_LOCATIONS = 6
 #: Optional index over the top-level ops of a module artifact: one entry
 #: per direct child of the root op, carrying its byte length inside the
 #: OPS payload, its SSA-value count, and its subtree op count (offsets
-#: are prefix sums; see :func:`_index_payload`).  Lazy readers use it to
+#: are prefix sums).  Lazy readers use it to
 #: materialize top-level ops on demand (:mod:`repro.bytecode.lazy`); old
 #: readers skip the unknown id.
 SECTION_OP_INDEX = 7
@@ -166,8 +168,9 @@ class Pools:
     """The shared string table and attribute pool of one artifact."""
 
     def __init__(self) -> None:
-        self.strings: list[str] = []
         self._string_ids: dict[str, int] = {}
+        #: Each string's byte length and UTF-8 bytes, in index order.
+        self._string_bytes = Writer()
         self.attr_entries: list[bytes] = []
         # Pool index by ``id`` of every attribute seen: each canonical
         # instance, and each equal non-canonical one, which is interned
@@ -182,9 +185,15 @@ class Pools:
     def string(self, text: str) -> int:
         index = self._string_ids.get(text)
         if index is None:
-            index = self._string_ids[text] = len(self.strings)
-            self.strings.append(text)
+            index = self._string_ids[text] = len(self._string_ids)
+            self._string_bytes.string_bytes(text)
         return index
+
+    def strings_section(self) -> list[bytes]:
+        return [varint_bytes(len(self._string_ids)), self._string_bytes]
+
+    def attrs_section(self) -> list[bytes]:
+        return [varint_bytes(len(self.attr_entries)), *self.attr_entries]
 
     def ref(self, value: object) -> int:
         """Pool index of an attribute or parameter value (children first)."""
@@ -236,31 +245,22 @@ class Pools:
         if isinstance(attr, DynamicParametrizedAttribute):
             from repro.ir.attributes import DynamicTypeAttribute
 
-            w.varint(TAG_DYNAMIC_ATTR)
-            w.varint(self.string(attr.attr_name))
-            w.varint(1 if isinstance(attr, DynamicTypeAttribute) else 0)
-            w.varint(len(attr.parameters))
-            for param in attr.parameters:
-                w.varint(self.ref(param))
+            w.varints((TAG_DYNAMIC_ATTR, self.string(attr.attr_name),
+                       1 if isinstance(attr, DynamicTypeAttribute) else 0,
+                       len(attr.parameters),
+                       *[self.ref(param) for param in attr.parameters]))
         elif isinstance(attr, IntegerType):
-            w.varint(TAG_INTEGER_TYPE)
-            w.varint(attr.bitwidth)
-            w.varint(SIGNEDNESS_CODE[attr.signedness])
+            w.varints((TAG_INTEGER_TYPE, attr.bitwidth,
+                       SIGNEDNESS_CODE[attr.signedness]))
         elif isinstance(attr, IndexType):
             w.varint(TAG_INDEX_TYPE)
         elif isinstance(attr, FloatType):
-            w.varint(TAG_FLOAT_TYPE)
-            w.varint(attr.bitwidth)
+            w.varints((TAG_FLOAT_TYPE, attr.bitwidth))
         elif isinstance(attr, FunctionType):
             inputs = [self.ref(t) for t in attr.inputs]
             results = [self.ref(t) for t in attr.result_types]
-            w.varint(TAG_FUNCTION_TYPE)
-            w.varint(len(inputs))
-            for ref in inputs:
-                w.varint(ref)
-            w.varint(len(results))
-            for ref in results:
-                w.varint(ref)
+            w.varints((TAG_FUNCTION_TYPE, len(inputs), *inputs,
+                       len(results), *results))
         elif isinstance(attr, (TensorType, VectorType, MemRefType)):
             tag = {
                 TensorType: TAG_TENSOR_TYPE,
@@ -268,19 +268,12 @@ class Pools:
                 MemRefType: TAG_MEMREF_TYPE,
             }[type(attr)]
             element = self.ref(attr.element_type)
-            w.varint(tag)
-            w.varint(attr.rank)
-            for dim in attr.shape:
-                w.signed(dim)
-            w.varint(element)
+            w.varints((tag, attr.rank, *map(zigzag, attr.shape), element))
         elif isinstance(attr, StringAttr):
-            w.varint(TAG_STRING_ATTR)
-            w.varint(self.string(attr.data))
+            w.varints((TAG_STRING_ATTR, self.string(attr.data)))
         elif isinstance(attr, IntegerAttr):
             type_ref = self.ref(attr.type)
-            w.varint(TAG_INTEGER_ATTR)
-            w.signed(attr.value)
-            w.varint(type_ref)
+            w.varints((TAG_INTEGER_ATTR, zigzag(attr.value), type_ref))
         elif isinstance(attr, FloatAttr):
             type_ref = self.ref(attr.type)
             w.varint(TAG_FLOAT_ATTR)
@@ -289,28 +282,17 @@ class Pools:
         elif isinstance(attr, UnitAttr):
             w.varint(TAG_UNIT_ATTR)
         elif isinstance(attr, TypeAttr):
-            wrapped = self.ref(attr.type)
-            w.varint(TAG_TYPE_ATTR)
-            w.varint(wrapped)
+            w.varints((TAG_TYPE_ATTR, self.ref(attr.type)))
         elif isinstance(attr, ArrayAttr):
             refs = [self.ref(e) for e in attr.elements]
-            w.varint(TAG_ARRAY_ATTR)
-            w.varint(len(refs))
-            for ref in refs:
-                w.varint(ref)
+            w.varints((TAG_ARRAY_ATTR, len(refs), *refs))
         elif isinstance(attr, DictionaryAttr):
-            entries = [
-                (self.string(key), self.ref(value))
-                for key, value in attr.parameters
-            ]
-            w.varint(TAG_DICTIONARY_ATTR)
-            w.varint(len(entries))
-            for key_ref, value_ref in entries:
-                w.varint(key_ref)
-                w.varint(value_ref)
+            refs = []
+            for key, value in attr.parameters:
+                refs += (self.string(key), self.ref(value))
+            w.varints((TAG_DICTIONARY_ATTR, len(refs) // 2, *refs))
         elif isinstance(attr, SymbolRefAttr):
-            w.varint(TAG_SYMBOL_REF_ATTR)
-            w.varint(self.string(attr.data))
+            w.varints((TAG_SYMBOL_REF_ATTR, self.string(attr.data)))
         else:
             raise BytecodeError(
                 f"cannot encode attribute class "
@@ -321,81 +303,37 @@ class Pools:
 
     def _encode_param(self, w: Writer, param: ParamValue) -> None:
         if isinstance(param, IntegerParam):
-            w.varint(TAG_INTEGER_PARAM)
-            w.signed(param.value)
-            w.varint(param.bitwidth)
-            w.varint(1 if param.signed else 0)
+            w.varints((TAG_INTEGER_PARAM, zigzag(param.value),
+                       param.bitwidth, 1 if param.signed else 0))
         elif isinstance(param, FloatParam):
             w.varint(TAG_FLOAT_PARAM)
             w.f64_bits(param.value)
             w.varint(param.bitwidth)
         elif isinstance(param, StringParam):
-            w.varint(TAG_STRING_PARAM)
-            w.varint(self.string(param.value))
+            w.varints((TAG_STRING_PARAM, self.string(param.value)))
         elif isinstance(param, EnumParam):
-            w.varint(TAG_ENUM_PARAM)
-            w.varint(self.string(param.enum_name))
-            w.varint(self.string(param.constructor))
+            w.varints((TAG_ENUM_PARAM, self.string(param.enum_name),
+                       self.string(param.constructor)))
         elif isinstance(param, ArrayParam):
             refs = [self.ref(e) for e in param.elements]
-            w.varint(TAG_ARRAY_PARAM)
-            w.varint(len(refs))
-            for ref in refs:
-                w.varint(ref)
+            w.varints((TAG_ARRAY_PARAM, len(refs), *refs))
         elif isinstance(param, LocationParam):
-            w.varint(TAG_LOCATION_PARAM)
-            w.varint(self.string(param.filename))
-            w.varint(param.line)
-            w.varint(param.column)
+            w.varints((TAG_LOCATION_PARAM, self.string(param.filename),
+                       param.line, param.column))
         elif isinstance(param, TypeIdParam):
-            w.varint(TAG_TYPEID_PARAM)
-            w.varint(self.string(param.qualified_name))
+            w.varints((TAG_TYPEID_PARAM, self.string(param.qualified_name)))
         elif isinstance(param, OpaqueParam):
             if not isinstance(param.value, str):
                 raise BytecodeError(
                     f"cannot encode opaque parameter of {param.class_name} "
                     f"holding a non-string {type(param.value).__name__}"
                 )
-            w.varint(TAG_OPAQUE_PARAM)
-            w.varint(self.string(param.class_name))
-            w.varint(self.string(param.value))
+            w.varints((TAG_OPAQUE_PARAM, self.string(param.class_name),
+                       self.string(param.value)))
         else:
             raise BytecodeError(
                 f"cannot encode parameter class {type(param).__qualname__}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Sections and artifact assembly
-# ---------------------------------------------------------------------------
-
-
-def _strings_payload(pools: Pools) -> bytes:
-    w = Writer()
-    w.varint(len(pools.strings))
-    for text in pools.strings:
-        w.string_bytes(text)
-    return w.getvalue()
-
-
-def _attrs_payload(pools: Pools) -> bytes:
-    w = Writer()
-    w.varint(len(pools.attr_entries))
-    for entry in pools.attr_entries:
-        w.raw(entry)
-    return w.getvalue()
-
-
-def _assemble(kind: int, sections: Sequence[tuple[int, bytes]]) -> bytes:
-    w = Writer()
-    w.raw(MAGIC)
-    w.varint(FORMAT_VERSION)
-    w.varint(kind)
-    for section_id, payload in sections:
-        w.varint(section_id)
-        w.varint(len(payload))
-        w.raw(payload)
-    return w.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -404,245 +342,223 @@ def _assemble(kind: int, sections: Sequence[tuple[int, bytes]]) -> bytes:
 
 
 def _number_values(root: Operation) -> dict[SSAValue, int]:
-    """Assign pre-order indices: op results, then per-region block args
-    (all blocks first), then op bodies — exactly the decoder's order."""
-    table: dict[SSAValue, int] = {}
+    """Assign pre-order indices: op results, then per region all its
+    blocks' arguments, then its ops — exactly the decoder's order.
 
-    def visit(op: Operation) -> None:
-        for result in op.results:
-            table[result] = len(table)
-        for region in op.regions:
-            for block in region.blocks:
+    Walks with an explicit stack, and raises :class:`BytecodeError` for
+    regions nested deeper than ``MAX_NESTING`` (the decoder's limit)
+    before anything is written.
+    """
+    table: dict[SSAValue, int] = {}
+    stack: list[tuple[Operation | Region, int]] = [(root, 0)]
+    while stack:
+        item, depth = stack.pop()
+        if isinstance(item, Operation):
+            for result in item.results:
+                table[result] = len(table)
+            if item.regions:
+                if depth == MAX_NESTING:
+                    raise BytecodeError(
+                        f"regions nest deeper than the limit of {MAX_NESTING}"
+                    )
+                stack += [(region, depth + 1)
+                          for region in reversed(item.regions)]
+        else:
+            for block in item.blocks:
                 for arg in block.args:
                     table[arg] = len(table)
-            for block in region.blocks:
-                for inner in block.ops:
-                    visit(inner)
-
-    visit(root)
+            for block in reversed(item.blocks):
+                stack += [(op, depth) for op in reversed(block.ops)]
     return table
 
 
-def _write_name_hint(w: Writer, pools: Pools, value: SSAValue) -> None:
-    """An optional SSA name hint, so ``%c`` survives the round-trip."""
-    if value.name_hint is None:
-        w.varint(0)
-    else:
-        w.varint(1)
-        w.varint(pools.string(value.name_hint))
+class _ModuleWriter:
+    """Writes a module's op stream, collecting what the sections after
+    it need: the op index and the location pool and mapping.
 
-
-def _write_op(
-    w,
-    op: Operation,
-    pools: Pools,
-    values: dict[SSAValue, int],
-    block_ids: dict[int, int],
-    record: list[tuple[int, int]] | None = None,
-) -> int:
-    """Emit one op (and its regions) onto ``w``; returns the number of
-    ops written, nested ones included.
-
-    ``w`` is a :class:`Writer` or :class:`~repro.bytecode.wire.FileWriter`
-    positioned at the start of the OPS payload.  With ``record`` set —
-    only ever for the root op — each directly nested op's
-    ``(byte_offset, byte_length)`` span within the payload is appended
-    to it, in emission order, for the op-index section.
+    An op record is its fields as varints; ``ops`` counts the records
+    written, so it is the next op's pre-order (``walk()``) index, the
+    key of the location mapping.
     """
-    written = 1
-    w.varint(pools.string(op.name))
-    w.varint(len(op.operands))
-    for operand in op.operands:
-        index = values.get(operand)
-        if index is None:
-            raise BytecodeError(
-                f"operand of {op.name} is defined outside the module "
-                "being encoded"
-            )
-        w.varint(index)
-        w.varint(pools.ref(operand.type))
-    w.varint(len(op.results))
-    for result in op.results:
-        w.varint(pools.ref(result.type))
-        _write_name_hint(w, pools, result)
-    w.varint(len(op.attributes))
-    for name, attr in op.attributes.items():
-        w.varint(pools.string(name))
-        w.varint(pools.ref(attr))
-    w.varint(len(op.successors))
-    for successor in op.successors:
-        block_index = block_ids.get(id(successor))
-        if block_index is None:
-            raise BytecodeError(
-                f"successor of {op.name} is not a block of the "
-                "enclosing region"
-            )
-        w.varint(block_index)
-    w.varint(len(op.regions))
-    for region in op.regions:
-        w.varint(len(region.blocks))
+
+    def __init__(self, w: Writer, root: Operation, index: bool):
+        self.w = w
+        self.pools = Pools()
+        self.values = _number_values(root)
+        self.ops = 0
+        self.values_written = 0
+        #: One (byte length, value count, op count) entry per top-level op.
+        self.index: Writer | None = Writer() if index else None
+        self.entries = 0
+        #: Pool index of each location; equal locations share one entry,
+        #: and ``loc_ids`` finds a location seen before by identity.
+        self.loc_refs: dict[Location, int] = {}
+        self.loc_ids: dict[int, int] = {}
+        #: (op pre-order index, pool index) pairs of located ops.
+        self.loc_map = Writer()
+        self.mapped = 0
+
+    def op(self, op: Operation, block_ids: dict[int, int],
+           top: bool = False) -> None:
+        """One op record, then its regions; ``top`` marks the root, whose
+        regions' ops get op-index entries."""
+        location = self.loc_ids.get(id(op.location))
+        if location is None:
+            location = self._location(op.location)
+        if location >= 0:
+            self.loc_map.varints((self.ops, location))
+            self.mapped += 1
+        self.ops += 1
+        string = self.pools.string
+        ref = self.pools.ref
+        values = self.values
+        f = [string(op.name), len(op.operands)]
+        for operand in op.operands:
+            index = values.get(operand)
+            if index is None:
+                raise BytecodeError(
+                    f"operand of {op.name} is defined outside the module "
+                    "being encoded"
+                )
+            f += (index, ref(operand.type))
+        f.append(len(op.results))
+        for result in op.results:
+            hint = result.name_hint
+            f += (ref(result.type), 0) if hint is None else (
+                ref(result.type), 1, string(hint))
+        self.values_written += len(op.results)
+        f.append(len(op.attributes))
+        for name, attr in op.attributes.items():
+            f += (string(name), ref(attr))
+        f.append(len(op.successors))
+        for successor in op.successors:
+            block_index = block_ids.get(id(successor))
+            if block_index is None:
+                raise BytecodeError(
+                    f"successor of {op.name} is not a block of the "
+                    "enclosing region"
+                )
+            f.append(block_index)
+        f.append(len(op.regions))
+        self.w.varints(f)
+        for region in op.regions:
+            self._region(region, top)
+
+    def _region(self, region: Region, top: bool) -> None:
+        w = self.w
+        string = self.pools.string
+        ref = self.pools.ref
+        f = [len(region.blocks)]
         for block in region.blocks:
-            w.varint(len(block.args))
+            f.append(len(block.args))
             for arg in block.args:
-                w.varint(pools.ref(arg.type))
-                _write_name_hint(w, pools, arg)
-        inner_ids = {id(b): i for i, b in enumerate(region.blocks)}
+                hint = arg.name_hint
+                f += (ref(arg.type), 0) if hint is None else (
+                    ref(arg.type), 1, string(hint))
+            self.values_written += len(block.args)
+        w.varints(f)
+        block_ids = {id(b): i for i, b in enumerate(region.blocks)}
         for block in region.blocks:
             w.varint(len(block.ops))
             for inner in block.ops:
-                if record is None:
-                    written += _write_op(w, inner, pools, values, inner_ids)
-                else:
-                    start = len(w)
-                    written += _write_op(w, inner, pools, values, inner_ids)
-                    record.append((start, len(w) - start))
-    return written
+                if not top:
+                    self.op(inner, block_ids)
+                    continue
+                start, values, ops = w.tell(), self.values_written, self.ops
+                self.op(inner, block_ids)
+                self.index.varints((w.tell() - start,
+                                    self.values_written - values,
+                                    self.ops - ops))
+                self.entries += 1
 
+    def _location(self, location: Location) -> int:
+        """Pool index of an op's location, -1 if it is unknown."""
+        ref = -1 if location.is_unknown else self._pool(location)
+        self.loc_ids[id(location)] = ref
+        return ref
 
-def _locations_payload(root: Operation, pools: Pools) -> bytes | None:
-    """The optional location section of a module artifact.
-
-    A pool of location entries (fused entries reference earlier pool
-    slots, so the pool is acyclic like the attribute pool) followed by a
-    sparse mapping from op pre-order index — the order :func:`_write_op`
-    emits ops, which is ``Operation.walk()`` — to a pool slot.  Returns
-    ``None`` when every op's location is unknown."""
-    pool_entries: list[bytes] = []
-    pool_ids: dict[Location, int] = {}
-
-    def pool_ref(loc: Location) -> int:
-        index = pool_ids.get(loc)
-        if index is not None:
-            return index
-        w = Writer()
-        if isinstance(loc, FileLineColLoc):
-            w.varint(LOC_FILE)
-            w.varint(pools.string(loc.filename))
-            w.varint(loc.line)
-            w.varint(loc.col)
-        elif isinstance(loc, FusedLoc):
-            refs = [pool_ref(part) for part in loc.locations]
-            w.varint(LOC_FUSED)
-            w.varint(len(refs))
-            for ref in refs:
-                w.varint(ref)
-        else:
+    def _pool(self, location: Location) -> int:
+        """Pool index of a location; fused locations pool their parts
+        first, so entries only reference earlier slots."""
+        refs = self.loc_refs
+        if isinstance(location, FileLineColLoc):
+            return refs.setdefault(location, len(refs))
+        if not isinstance(location, FusedLoc):
             raise BytecodeError(
-                f"cannot encode location class {type(loc).__qualname__}"
+                f"cannot encode location class {type(location).__qualname__}"
             )
-        index = len(pool_entries)
-        pool_entries.append(w.getvalue())
-        pool_ids[loc] = index
-        return index
+        ref = refs.get(location)
+        if ref is None:
+            for part in location.locations:
+                self._pool(part)
+            ref = refs[location] = len(refs)
+        return ref
 
-    mapping: list[tuple[int, int]] = []
-    for op_index, op in enumerate(root.walk()):
-        location = op.location
-        if location.is_unknown:
-            continue
-        mapping.append((op_index, pool_ref(location)))
-    if not mapping:
-        return None
-    w = Writer()
-    w.varint(len(pool_entries))
-    for entry in pool_entries:
-        w.raw(entry)
-    w.varint(len(mapping))
-    for op_index, ref in mapping:
-        w.varint(op_index)
-        w.varint(ref)
-    return w.getvalue()
+    def locations_section(self) -> list[bytes]:
+        """The location pool, then the mapping.  Filenames are interned
+        here, after every op, so the string table keeps that order."""
+        string = self.pools.string
+        refs = self.loc_refs
+        pool = Writer()
+        for location in refs:
+            if isinstance(location, FileLineColLoc):
+                pool.varints((LOC_FILE, string(location.filename),
+                              location.line, location.col))
+            else:
+                pool.varints((LOC_FUSED, len(location.locations),
+                              *[refs[part] for part in location.locations]))
+        return [varint_bytes(len(refs)), pool,
+                varint_bytes(self.mapped), self.loc_map]
 
 
-def _subtree_counts(op: Operation) -> tuple[int, int]:
-    """``(value_count, op_count)`` of one op's subtree.
+def _write_module(root: Operation, w: Writer, index: bool) -> int:
+    """Write a module artifact onto ``w``; returns the ops it holds.
 
-    The value count follows :func:`_number_values`' pre-order exactly
-    (results, then per region all block args, then op bodies), so each
-    subtree owns one contiguous range of the module's value numbering.
+    Sections: the op stream behind a padded length patched once it is
+    written, so ops stream straight through ``w``; then the op index,
+    the string table and the attribute pool, which the op stream filled;
+    then the locations, if any op has one.
     """
-    value_count = len(op.results)
-    op_count = 1
-    for region in op.regions:
-        for block in region.blocks:
-            value_count += len(block.args)
-        for block in region.blocks:
-            for inner in block.ops:
-                inner_values, inner_ops = _subtree_counts(inner)
-                value_count += inner_values
-                op_count += inner_ops
-    return value_count, op_count
-
-
-def _index_payload(
-    root: Operation, spans: list[tuple[int, int]]
-) -> bytes:
-    """The op-index section: one 3-varint entry per top-level op.
-
-    Each entry is ``(byte_length, value_count, op_count)``.  Byte
-    offsets and value starts are deliberately *not* stored: both are
-    prefix sums the lazy reader reconstructs while walking the root
-    shell (op spans tile each block's run contiguously, value spans
-    tile the pre-order numbering), and for a million-op module the
-    difference between three mostly-single-byte varints and five is
-    most of the open-time parse cost.  ``spans`` holds the byte spans
-    :func:`_write_op` recorded while emitting the root op's direct
-    children, in the same order the value numbering visits them.
-    """
-    entries: list[tuple[int, int]] = []
-    for region in root.regions:
-        for block in region.blocks:
-            for inner in block.ops:
-                entries.append(_subtree_counts(inner))
-    if len(entries) != len(spans):
-        raise BytecodeError(
-            f"op-index mismatch: {len(spans)} byte spans recorded for "
-            f"{len(entries)} top-level ops"
-        )
-    w = Writer()
-    w.varint(len(entries))
-    for (_offset, length), (value_count, op_count) in zip(spans, entries):
-        w.varint(length)
-        w.varint(value_count)
-        w.varint(op_count)
-    return w.getvalue()
-
-
-def _encode_module(root: Operation, index: bool = True) -> tuple[bytes, int]:
-    """The artifact, and the number of ops it holds."""
-    pools = Pools()
-    values = _number_values(root)
-    ops = Writer()
-    ops.varint(len(values))
-    spans: list[tuple[int, int]] | None = [] if index else None
-    op_count = _write_op(ops, root, pools, values, {}, record=spans)
-    locations = _locations_payload(root, pools)
-    sections = [
-        (SECTION_STRINGS, _strings_payload(pools)),
-        (SECTION_ATTRS, _attrs_payload(pools)),
-        (SECTION_OPS, ops.getvalue()),
-    ]
-    if spans is not None:
-        sections.append((SECTION_OP_INDEX, _index_payload(root, spans)))
+    writer = _ModuleWriter(w, root, index)
+    w.raw(MAGIC)
+    w.varint(FORMAT_VERSION)
+    w.varint(KIND_MODULE)
+    w.varint(SECTION_OPS)
+    slot = w.tell()
+    w.raw(padded_varint_bytes(0))
+    start = w.tell()
+    w.varint(len(writer.values))
+    writer.op(root, {}, top=index)
+    w.patch(slot, padded_varint_bytes(w.tell() - start))
+    w.flush()
+    if writer.index is not None:
+        w.section(SECTION_OP_INDEX,
+                  [varint_bytes(writer.entries), writer.index])
+    locations = writer.locations_section() if writer.mapped else None
+    w.section(SECTION_STRINGS, writer.pools.strings_section())
+    w.section(SECTION_ATTRS, writer.pools.attrs_section())
     if locations is not None:
-        sections.append((SECTION_LOCATIONS, locations))
-    return _assemble(KIND_MODULE, sections), op_count
+        w.section(SECTION_LOCATIONS, locations)
+    return writer.ops
 
 
 def encode_module(root: Operation, *, index: bool = True) -> bytes:
     """Serialize an operation (usually a module) to bytecode.
 
-    With ``index`` (the default) the artifact carries the op-index
-    section that enables lazy loading; ``index=False`` reproduces the
-    pre-index layout old writers emitted.
+    The bytes are those :func:`encode_module_stream` writes.  With
+    ``index`` (the default) the artifact carries the op-index section
+    that enables lazy loading; ``index=False`` leaves it out.
     """
+    w = Writer()
     if not OBS.active:
-        return _encode_module(root, index)[0]
+        _write_module(root, w, index)
+        return w.getvalue()
     import time
 
     start = time.perf_counter()
     with OBS.tracer.span("bytecode.encode", category="bytecode"):
-        data, op_count = _encode_module(root, index)
+        op_count = _write_module(root, w, index)
+        data = w.getvalue()
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.modules").inc()
@@ -654,17 +570,6 @@ def encode_module(root: Operation, *, index: bool = True) -> bytes:
     return data
 
 
-# ---------------------------------------------------------------------------
-# Streaming module encoding
-# ---------------------------------------------------------------------------
-
-
-def _stream_section(fileobj, section_id: int, payload_len: int) -> None:
-    """Emit one section frame header directly to the file."""
-    fileobj.write(varint_bytes(section_id))
-    fileobj.write(varint_bytes(payload_len))
-
-
 def _encode_module_stream(root: Operation, fileobj,
                           index: bool) -> tuple[int, int]:
     """The number of bytes written, and of ops written."""
@@ -674,76 +579,20 @@ def _encode_module_stream(root: Operation, fileobj,
             "length is patched in after the payload); use encode_module "
             "for pipes"
         )
-    base = fileobj.tell()
-    header = Writer()
-    header.raw(MAGIC)
-    header.varint(FORMAT_VERSION)
-    header.varint(KIND_MODULE)
-    fileobj.write(header.getvalue())
-
-    # The OPS section is streamed op by op behind a reserved fixed-width
-    # length slot: the attribute pool and string table fill up as ops are
-    # written, and the payload never exists as one in-memory blob.
-    pools = Pools()
-    values = _number_values(root)
-    fileobj.write(varint_bytes(SECTION_OPS))
-    length_pos = fileobj.tell()
-    fileobj.write(padded_varint_bytes(0))
-    ops = FileWriter(fileobj)
-    ops.varint(len(values))
-    spans: list[tuple[int, int]] | None = [] if index else None
-    op_count = _write_op(ops, root, pools, values, {}, record=spans)
-    end = fileobj.tell()
-    fileobj.seek(length_pos)
-    fileobj.write(padded_varint_bytes(len(ops)))
-    fileobj.seek(end)
-
-    # Locations may intern new strings, so build that payload before the
-    # string table is frozen.
-    locations = _locations_payload(root, pools)
-
-    if spans is not None:
-        payload = _index_payload(root, spans)
-        _stream_section(fileobj, SECTION_OP_INDEX, len(payload))
-        fileobj.write(payload)
-
-    # Strings and attributes stream entry by entry behind exact lengths,
-    # so neither section payload is ever concatenated in memory.
-    strings_len = varint_len(len(pools.strings))
-    encoded_lengths = [len(text.encode("utf-8")) for text in pools.strings]
-    for length in encoded_lengths:
-        strings_len += varint_len(length) + length
-    _stream_section(fileobj, SECTION_STRINGS, strings_len)
-    strings_writer = FileWriter(fileobj)
-    strings_writer.varint(len(pools.strings))
-    for text in pools.strings:
-        strings_writer.string_bytes(text)
-    if len(strings_writer) != strings_len:
-        raise BytecodeError("string section length accounting is broken")
-
-    attrs_len = varint_len(len(pools.attr_entries))
-    attrs_len += sum(len(entry) for entry in pools.attr_entries)
-    _stream_section(fileobj, SECTION_ATTRS, attrs_len)
-    fileobj.write(varint_bytes(len(pools.attr_entries)))
-    for entry in pools.attr_entries:
-        fileobj.write(entry)
-
-    if locations is not None:
-        _stream_section(fileobj, SECTION_LOCATIONS, len(locations))
-        fileobj.write(locations)
-    return fileobj.tell() - base, op_count
+    w = Writer(fileobj)
+    op_count = _write_module(root, w, index)
+    return w.tell(), op_count
 
 
 def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int:
     """Serialize a module to a seekable binary file, section by section.
 
-    Functionally equivalent to ``fileobj.write(encode_module(root))``
-    but the op stream goes straight to the file — the encoder never
-    holds the OPS payload, the string table blob, or a second copy of
-    the attribute pool in memory, so modules larger than memory encode
-    in bounded space.  Returns the number of bytes written.  The OPS
-    section length travels as a padded (non-canonical) varint that is
-    patched after the payload, which is why the file must be seekable.
+    Writes exactly the bytes of :func:`encode_module`, but through a
+    64 KiB buffer: the encoder never holds the op stream, so modules
+    larger than memory encode in bounded space.  Returns the number of
+    bytes written.  The OPS section length travels as a padded
+    (non-canonical) varint that is patched after the payload, which is
+    why the file must be seekable.
     """
     if not OBS.active:
         return _encode_module_stream(root, fileobj, index)[0]
@@ -925,25 +774,20 @@ def _encode_dialects(decls: Sequence[ast.DialectDecl]) -> bytes:
     body.varint(len(decls))
     for decl in decls:
         _write_dialect(body, pools, decl)
-    extra: list[tuple[int, bytes]] = []
     entries = _suppression_entries(decls)
+    suppressions = Writer()
+    suppressions.varint(len(entries))
+    for dialect_index, kind, index, code in entries:
+        suppressions.varints((dialect_index, kind, index, pools.string(code)))
+    w = Writer()
+    w.raw(MAGIC)
+    w.varint(FORMAT_VERSION)
+    w.varint(KIND_DIALECTS)
+    w.section(SECTION_STRINGS, pools.strings_section())
+    w.section(SECTION_DIALECTS, [body])
     if entries:
-        w = Writer()
-        w.varint(len(entries))
-        for dialect_index, kind, index, code in entries:
-            w.varint(dialect_index)
-            w.varint(kind)
-            w.varint(index)
-            w.varint(pools.string(code))
-        extra.append((SECTION_SUPPRESSIONS, w.getvalue()))
-    return _assemble(
-        KIND_DIALECTS,
-        [
-            (SECTION_STRINGS, _strings_payload(pools)),
-            (SECTION_DIALECTS, body.getvalue()),
-            *extra,
-        ],
-    )
+        w.section(SECTION_SUPPRESSIONS, [suppressions])
+    return w.getvalue()
 
 
 def encode_dialects(

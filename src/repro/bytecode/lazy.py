@@ -1,13 +1,15 @@
 """Lazy module loading over the op-index section.
 
 A :class:`LazyModuleReader` decodes a module artifact's *tables* — the
-string table, the attribute pool, the location pool — plus the root
-operation's shell (its attributes, regions, blocks, and block
-arguments), but leaves every top-level op as an unread byte range
-described by the op-index section (``SECTION_OP_INDEX``).  Each range is
-exposed as a :class:`LazyOpHandle`; :meth:`LazyOpHandle.force` decodes
-exactly that subtree and splices it into the root shell, producing — op
-for op, value for value, location for location — the graph the eager
+string table and the attribute pool — checks its location section, and
+reads the root operation's shell (its attributes, regions, blocks, and
+block arguments) with the eager decoder's op reader, but leaves every
+top-level op as an unread byte range described by the op-index section
+(``SECTION_OP_INDEX``).  Each range is exposed as a
+:class:`LazyOpHandle`, built on first access; :meth:`LazyOpHandle.force`
+decodes exactly that subtree with the same op reader and splices it
+into the root shell, producing — op for op, value for value, location
+for location — the graph the eager
 :func:`~repro.bytecode.decoder.decode_module` builds.
 
 :meth:`LazyModuleReader.open` maps the file with :mod:`mmap`, so opening
@@ -26,77 +28,33 @@ that do not reconcile — surfaces as :class:`BytecodeError`, never a raw
 from __future__ import annotations
 
 import mmap
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
+from itertools import accumulate
 from typing import Any, Callable
 
 from repro.bytecode import encoder as enc
 from repro.bytecode.decoder import (
-    _AttrTable,
-    _ModuleReader,
+    _error,
+    _OpReader,
     _read_header,
     _read_sections,
-    _read_string_table,
-    _require_section,
-    _StringTable,
+    _read_tables,
+    _Values,
 )
-from repro.bytecode.wire import KIND_MODULE, BytecodeError, Reader
-from repro.ir.attributes import Attribute
+from repro.bytecode.wire import (
+    KIND_MODULE,
+    BytecodeError,
+    Reader,
+    varint_at,
+    varint_offset,
+    varints,
+)
 from repro.ir.block import Block
 from repro.ir.context import Context
-from repro.ir.location import FileLineColLoc, FusedLoc, Location
 from repro.ir.operation import Operation
 from repro.ir.region import Region
-from repro.ir.value import SSAValue
 from repro.obs.instrument import OBS
-
-
-def _parse_index(index: Reader) -> list[tuple[int, int, int]]:
-    """Decode the op-index payload: ``n`` then 3 varints per entry
-    (byte length, value count, subtree op count).
-
-    A module can carry millions of entries, so this is a tight local
-    LEB128 loop over one contiguous buffer rather than per-field
-    ``Reader.varint`` calls — the open-time cost per entry is what the
-    ``bytecode.lazy.open_time`` budget is spent on.
-    """
-    buf = index.data[index.pos:index.end]
-    if not isinstance(buf, bytes):
-        buf = bytes(buf)
-    end = len(buf)
-    pos = 0
-    values: list[int] = []
-    append = values.append
-    while pos < end:
-        byte = buf[pos]
-        pos += 1
-        if byte < 0x80:
-            append(byte)
-            continue
-        result = byte & 0x7F
-        shift = 7
-        while True:
-            if pos >= end:
-                raise index.error("truncated varint in op index")
-            if shift > 63:
-                raise index.error("varint too long in op index")
-            byte = buf[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        append(result)
-    if not values:
-        raise index.error("empty op-index section")
-    count = values[0]
-    if len(values) - 1 != count * 3:
-        raise index.error(
-            f"op index declares {count} entries but carries "
-            f"{len(values) - 1} fields"
-        )
-    index.pos = index.end
-    it = iter(values[1:])
-    return list(zip(it, it, it))
 
 
 def _wrapped(name: str, fn: Callable[[], Any]) -> Any:
@@ -111,104 +69,85 @@ def _wrapped(name: str, fn: Callable[[], Any]) -> Any:
         ) from err
 
 
-class _LazyValueTable:
-    """The module-wide SSA value numbering, defined out of order.
+class _ShellReader(_OpReader):
+    """Reads an indexed module's root op without its top-level ops.
 
-    The eager decoder's value table assigns indices by arrival order;
-    here every definition carries its explicit global index (each
-    handle's subtree owns the contiguous ``[value_start, value_start +
-    value_count)`` range the encoder recorded).  Cross-shard operand
-    references resolve to typed placeholders that are patched via
-    ``replace_all_uses_with`` when the defining handle is forced — the
-    same forward-reference mechanism the eager decoder uses within one
-    stream.
+    Each block's run of top-level op records is skipped, not read: its
+    op-index entries give its byte length and the values and ops it
+    holds, and record where its handles start.  Past a run, the shell's
+    varints are decoded only as far as the reader needs them — a
+    block's op count, the next region's header — so opening stays
+    linear in the shell's size however many blocks and regions the root
+    has.
     """
 
-    __slots__ = ("total", "defined", "placeholders", "reader")
+    def __init__(self, *args, lengths: list[int], value_counts: list[int],
+                 op_counts: list[int]):
+        super().__init__(*args)
+        self.lengths = lengths
+        self.value_counts = value_counts
+        self.op_counts = op_counts
+        self.entry = 0
+        #: Per run: its first entry, its block, and where it starts in
+        #: bytes (from the op section start), values and walk order.
+        self.runs: list[tuple[int, Block, int, int, int]] = []
+        #: Where the shell's undecoded varints start, once past a run.
+        self.next: int | None = None
 
-    def __init__(self, total: int, reader: Reader):
-        self.total = total
-        self.defined: dict[int, SSAValue] = {}
-        self.placeholders: dict[int, SSAValue] = {}
-        self.reader = reader
+    def _more(self, ints: list[int], j: int) -> None:
+        """Decode the shell's varints past the last run up to ``ints[j]``."""
+        if j >= len(ints) and self.next is not None:
+            stop = varint_offset(self.data, self.next, j + 1 - len(ints),
+                                 self.end)
+            ints += varints(self.data, self.next, stop, self.name)
+            self.next = stop
 
-    def define_at(self, index: int, value: SSAValue) -> None:
-        if index >= self.total:
-            raise self.reader.error(
-                f"op stream defines value {index}, beyond the declared "
-                f"{self.total} values"
-            )
-        if index in self.defined:
-            raise self.reader.error(f"value {index} defined twice")
-        self.defined[index] = value
-        placeholder = self.placeholders.pop(index, None)
-        if placeholder is not None:
-            if placeholder.type != value.type:
-                raise self.reader.error(
-                    f"value {index} was forward-referenced with type "
-                    f"{placeholder.type} but defined with type {value.type}"
-                )
-            placeholder.replace_all_uses_with(value)
+    def _region(self, ints: list[int], i: int,
+                depth: int) -> tuple[Region, int]:
+        if self.next is not None:
+            # Decode the header the op reader reads first: the block
+            # count, then per block an argument count and per argument
+            # a type, a name-hint flag and, after flag 1, the hint.
+            self._more(ints, i)
+            j = i + 1
+            for _ in range(ints[i]):
+                self._more(ints, j)
+                j += 1
+                for _ in range(ints[j - 1]):
+                    self._more(ints, j + 1)
+                    j += 2 + (ints[j + 1] == 1)
+                    self._more(ints, j - 1)
+        return super()._region(ints, i, depth)
 
-    def operand(self, index: int, value_type: Attribute) -> SSAValue:
-        value = self.defined.get(index)
-        if value is not None:
-            if value.type != value_type:
-                raise self.reader.error(
-                    f"operand references value {index} as {value_type}, "
-                    f"but it has type {value.type}"
-                )
-            return value
-        placeholder = self.placeholders.get(index)
-        if placeholder is None:
-            placeholder = self.placeholders[index] = SSAValue(value_type)
-        elif placeholder.type != value_type:
-            raise self.reader.error(
-                f"conflicting forward-reference types for value {index}: "
-                f"{placeholder.type} vs {value_type}"
-            )
-        return placeholder
-
-    def finish(self) -> None:
-        if self.placeholders:
-            missing = sorted(self.placeholders)
-            raise self.reader.error(
-                f"operands reference undefined values {missing}"
-            )
-
-
-class _ShardValues:
-    """Adapter presenting one handle's value span as an eager table.
-
-    :class:`~repro.bytecode.decoder._ModuleReader` defines values by
-    arrival order; within one subtree that order is exactly the global
-    pre-order starting at ``value_start``, so a cursor over the span
-    translates sequential ``define`` calls into explicit global indices.
-    """
-
-    __slots__ = ("table", "cursor", "end", "reader")
-
-    def __init__(self, table: _LazyValueTable, start: int, end: int,
-                 reader: Reader):
-        self.table = table
-        self.cursor = start
-        self.end = end
-        self.reader = reader
-
-    @property
-    def total(self) -> int:
-        return self.table.total
-
-    def define(self, value: SSAValue) -> None:
-        if self.cursor >= self.end:
-            raise self.reader.error(
-                "op defines more values than its index entry declared"
-            )
-        self.table.define_at(self.cursor, value)
-        self.cursor += 1
-
-    def operand(self, index: int, value_type: Attribute) -> SSAValue:
-        return self.table.operand(index, value_type)
+    def _block_ops(self, ints: list[int], i: int, block: Block,
+                   blocks: list[Block], depth: int) -> int:
+        self._more(ints, i)
+        count = ints[i]
+        i += 1
+        if not count:
+            return i
+        first, self.entry = self.entry, self.entry + count
+        if self.entry > len(self.lengths):
+            raise self.error(i, "op stream holds more top-level ops than "
+                                "the op index declares")
+        start = self.offset(i)
+        end = start + sum(self.lengths[first:self.entry])
+        if end > self.end:
+            raise self.error(i, "op-index byte spans run past the op "
+                                "section")
+        self.runs.append((first, block, start - self.segments[0][1],
+                          self.value, self.walk))
+        self.value += sum(self.value_counts[first:self.entry])
+        if self.value > self.value_end:
+            raise self.error(i, f"op index accounts for {self.value} "
+                                f"values, stream declares {self.value_end}")
+        self.walk += sum(self.op_counts[first:self.entry])
+        # What was decoded past the run's start belongs to the run; the
+        # shell continues after its end.
+        del ints[i:]
+        self.segments.append((i, end))
+        self.next = end
+        return i
 
 
 class LazyOpHandle:
@@ -251,8 +190,17 @@ class LazyOpHandle:
         return _wrapped(self.reader.name, self._peek_name)
 
     def _peek_name(self) -> str:
-        sub = self.reader._span_reader(self)
-        return self.reader._strings.get(sub)
+        start, end = self.reader._span(self)
+        ints = varints(self.reader.data, start,
+                       varint_offset(self.reader.data, start, 1, end),
+                       self.reader.name)
+        strings = self.reader._ops.strings
+        if not ints or ints[0] >= len(strings):
+            raise BytecodeError(
+                f"at byte {start}: op #{self.index} has no valid name",
+                self.reader.name,
+            )
+        return strings[ints[0]]
 
     def force(self) -> Operation:
         """Materialize this op (and its regions); idempotent."""
@@ -264,6 +212,53 @@ class LazyOpHandle:
         state = "materialized" if self.op is not None else "lazy"
         return (f"<LazyOpHandle #{self.index} {self.name!r} "
                 f"{self.byte_length}B {state}>")
+
+
+class _Handles(Sequence):
+    """One :class:`LazyOpHandle` per top-level op, each built on first
+    access: offsets, value starts and walk starts are prefix sums of the
+    op-index entries within their block's run."""
+
+    def __init__(self, reader: "LazyModuleReader", shell: _ShellReader):
+        self.reader = reader
+        self.lengths = shell.lengths
+        self.value_counts = shell.value_counts
+        self.op_counts = shell.op_counts
+        self.runs = shell.runs
+        self.firsts = [run[0] for run in shell.runs]
+        self.sums: list[list[int]] | None = None
+        self.made: dict[int, LazyOpHandle] = {}
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]
+        handle = self.made.get(index)
+        if handle is None:
+            handle = self.made[index] = self._make(index)
+        return handle
+
+    def _make(self, index: int) -> "LazyOpHandle":
+        if self.sums is None:
+            self.sums = [
+                list(accumulate(column, initial=0))
+                for column in (self.lengths, self.value_counts,
+                               self.op_counts)
+            ]
+        lengths, values, walks = self.sums
+        first, block, offset, value, walk = self.runs[
+            bisect_right(self.firsts, index) - 1
+        ]
+        return LazyOpHandle(
+            self.reader, index,
+            offset + lengths[index] - lengths[first], self.lengths[index],
+            value + values[index] - values[first], self.value_counts[index],
+            self.op_counts[index], walk + walks[index] - walks[first],
+            block, index - first,
+        )
 
 
 class LazyModuleReader:
@@ -288,17 +283,14 @@ class LazyModuleReader:
         self._closed = False
         self.lazy = False
         self.root: Operation | None = None
-        self.handles: list[LazyOpHandle] = []
-        self._strings: _StringTable | None = None
-        self._attrs: _AttrTable | None = None
-        self._values: _LazyValueTable | None = None
-        self._ops_payload_start = 0
-        self._locations: dict[int, Location] = {}
+        self.handles: Sequence[LazyOpHandle] = []
+        self._ops: _OpReader | None = None
+        self._ops_start = 0
         #: Per block: sorted original positions of already-forced ops,
         #: so a force's insertion index is one bisect, not a sibling
         #: scan (out-of-order forcing must not be quadratic).
         self._forced_positions: dict[int, list[int]] = {}
-        self._total_walk = 0
+        self._forced = 0
         import time
 
         start = time.perf_counter()
@@ -341,7 +333,17 @@ class LazyModuleReader:
         return cls(context, mapped, name=path, _close=close)
 
     def _open(self) -> None:
-        reader = Reader(self.data, self.name)
+        """Read the tables, the op index and the root shell.
+
+        Byte spans tile each block's run of the op stream and value
+        spans tile the numbering, so every start is a prefix sum; the
+        run totals are checked against the section bounds and the
+        declared value count here, and each span is reconciled op by op
+        when its handle is forced — a corrupt index always surfaces as
+        :class:`BytecodeError`.
+        """
+        data, name = self.data, self.name
+        reader = Reader(data, name)
         _read_header(reader, KIND_MODULE)
         sections = _read_sections(reader)
         index = sections.get(enc.SECTION_OP_INDEX)
@@ -349,25 +351,49 @@ class LazyModuleReader:
             self._open_eager()
             return
         self.lazy = True
-        self._strings = _StringTable(_read_string_table(sections, self.name))
-        self._attrs = _AttrTable(self.context)
-        self._attrs.load(
-            _require_section(
-                sections, enc.SECTION_ATTRS, "attribute", self.name
-            ),
-            self._strings,
+        string_table, attrs, locations, ops = _read_tables(
+            self.context, sections, name
         )
-        ops = _require_section(sections, enc.SECTION_OPS, "op", self.name)
-        self._ops_payload_start = ops.pos
-        total = ops.varint()
-        self._values = _LazyValueTable(total, ops)
-        self._read_shell(ops, index)
-        locations = sections.get(enc.SECTION_LOCATIONS)
-        if locations is not None:
-            self._load_locations(locations)
-            root_loc = self._locations.get(0)
-            if root_loc is not None:
-                self.root.location = root_loc
+        # The entry count is the one multi-byte varint of a typical index:
+        # without it the entries decode as one ASCII run.
+        count, start = varint_at(data, index.pos, index.end, name)
+        entries = varints(data, start, index.end, name)
+        if len(entries) != 3 * count:
+            raise _error(data, start, len(entries), index.end, name,
+                         f"op index declares {count} entries but carries "
+                         f"{len(entries)} fields")
+        lengths, value_counts, op_counts = (entries[0::3], entries[1::3],
+                                            entries[2::3])
+        if count and min(op_counts) < 1:
+            raise BytecodeError(
+                f"op-index entry {op_counts.index(0)} declares an empty "
+                "subtree", name,
+            )
+        self._ops_start = ops.pos
+        budget = ops.end - ops.pos - sum(lengths)
+        if budget < 0:
+            raise BytecodeError("op-index byte spans run past the op "
+                                "section", name)
+        shell_ints = varints(data, ops.pos, varint_offset(
+            data, ops.pos, budget, ops.end), name)
+        values = _Values(shell_ints, ops)
+        args = (self.context, string_table, attrs, values, locations, data,
+                name)
+        shell = _ShellReader(*args, lengths=lengths,
+                             value_counts=value_counts, op_counts=op_counts)
+        self.root = shell.read(shell_ints, 1, ops.pos, ops.end,
+                               (0, len(values.table)), 0, [], 0,
+                               "the root operation")
+        if shell.next not in (None, ops.end):
+            raise BytecodeError(f"at byte {shell.next}: {ops.end - shell.next}"
+                                " trailing bytes after the root operation", name)
+        if shell.entry != count:
+            raise shell.error(len(shell_ints), (
+                f"op index declares {count - shell.entry} more top-level "
+                "ops than the op stream holds"))
+        shell.finish(shell_ints)
+        self._ops = _OpReader(*args)
+        self.handles = _Handles(self, shell)
 
     def _open_eager(self) -> None:
         """No index section: decode everything once, wrap it in handles."""
@@ -375,248 +401,54 @@ class LazyModuleReader:
 
         root = decode_module(self.context, self.data, name=self.name)
         self.root = root
+        handles = []
         for region in root.regions:
             for block in region.blocks:
                 for position, op in enumerate(block.ops):
                     handle = LazyOpHandle(
-                        self, len(self.handles), 0, 0, 0, 0,
+                        self, len(handles), 0, 0, 0, 0,
                         sum(1 for _ in op.walk()), 0, block, position,
                     )
                     handle.op = op
-                    self.handles.append(handle)
-
-    # ------------------------------------------------------------------
-    # Shell decoding
-    # ------------------------------------------------------------------
-
-    def _read_shell(self, ops: Reader, index: Reader) -> None:
-        """Decode the root op minus its children, validating the index.
-
-        Byte spans tile each block's run of the op stream and value
-        spans tile the numbering, so both starts are reconstructed as
-        prefix sums; the run totals are checked against the section
-        bounds and the declared value count here, and each span is
-        reconciled op-by-op when its handle is forced — a corrupt index
-        always surfaces as :class:`BytecodeError`.
-        """
-        strings = self._strings
-        attrs = self._attrs
-        values = self._values
-        entries = _parse_index(index)
-
-        # Root header: mirrors _ModuleReader._read_op up to the regions.
-        helper = _ModuleReader(self.context, strings, attrs)
-        name = strings.get(ops)
-        operand_count = ops.bounded_varint(
-            ops.remaining + 1, "operand count"
-        )
-        operands = []
-        for _ in range(operand_count):
-            operand_index = ops.bounded_varint(
-                values.total, "operand value index"
-            )
-            operand_type = attrs.get_type(ops)
-            operands.append(values.operand(operand_index, operand_type))
-        result_count = ops.bounded_varint(ops.remaining + 1, "result count")
-        result_types = []
-        result_hints = []
-        for _ in range(result_count):
-            result_types.append(attrs.get_type(ops))
-            result_hints.append(helper._read_name_hint(ops))
-        attr_count = ops.bounded_varint(ops.remaining + 1, "attribute count")
-        attributes: dict[str, Attribute] = {}
-        for _ in range(attr_count):
-            attr_name = strings.get(ops)
-            attributes[attr_name] = attrs.get_attr(ops)
-        successor_count = ops.varint()
-        if successor_count:
-            raise ops.error("root operation cannot have successors")
-        root = self.context.create_operation(
-            name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-        )
-        cursor = 0
-        for result, hint in zip(root.results, result_hints):
-            result.name_hint = hint
-            values.define_at(cursor, result)
-            cursor += 1
-
-        entry_base = 0
-        walk_cursor = 1  # the root itself is walk index 0
-        region_count = ops.bounded_varint(ops.remaining + 1, "region count")
-        for _ in range(region_count):
-            block_count = ops.bounded_varint(
-                ops.remaining + 1, "block count"
-            )
-            region = Region()
-            for _ in range(block_count):
-                arg_count = ops.bounded_varint(
-                    ops.remaining + 1, "block argument count"
-                )
-                arg_types = []
-                arg_hints = []
-                for _ in range(arg_count):
-                    arg_types.append(attrs.get_type(ops))
-                    arg_hints.append(helper._read_name_hint(ops))
-                block = Block(arg_types)
-                for arg, hint in zip(block.args, arg_hints):
-                    arg.name_hint = hint
-                    values.define_at(cursor, arg)
-                    cursor += 1
-                region.add_block(block)
-            for block in region.blocks:
-                op_count = ops.bounded_varint(
-                    ops.remaining + 1, "op count"
-                )
-                self._forced_positions[id(block)] = []
-                if op_count == 0:
-                    continue
-                if entry_base + op_count > len(entries):
-                    raise ops.error(
-                        "op stream holds more top-level ops than "
-                        "the op index declares"
-                    )
-                # One contiguous run of spans per block: entries carry
-                # only (length, value count, subtree op count); byte
-                # offsets and value starts are the prefix sums over the
-                # run, reconstructed here.  Then jump the stream past
-                # the whole run in one step — the point of lazy opening
-                # is never touching those pages.
-                expected = ops.pos - self._ops_payload_start
-                handle_list = self.handles
-                append = handle_list.append
-                for position in range(op_count):
-                    entry_index = entry_base + position
-                    length, value_count, subtree_ops = entries[entry_index]
-                    if subtree_ops < 1:
-                        raise ops.error(
-                            f"op-index entry {entry_index} declares an "
-                            "empty subtree"
-                        )
-                    append(LazyOpHandle(
-                        self, entry_index, expected, length, cursor,
-                        value_count, subtree_ops, walk_cursor, block,
-                        position,
-                    ))
-                    expected += length
-                    cursor += value_count
-                    walk_cursor += subtree_ops
-                entry_base += op_count
-                landing = self._ops_payload_start + expected
-                if landing > ops.end:
-                    raise ops.error(
-                        "op-index byte spans run past the op section"
-                    )
-                ops.pos = landing
-            root.add_region(region)
-        if entry_base != len(entries):
-            raise ops.error(
-                f"op index declares {len(entries) - entry_base} more "
-                "top-level ops than the op stream holds"
-            )
-        if not ops.at_end():
-            raise ops.error(
-                f"{ops.remaining} trailing bytes after the root operation"
-            )
-        if cursor != values.total:
-            raise ops.error(
-                f"op index accounts for {cursor} values, stream declares "
-                f"{values.total}"
-            )
-        self.root = root
-        self._total_walk = walk_cursor
-
-    def _load_locations(self, reader: Reader) -> None:
-        """Decode the location pool and the sparse walk-index mapping."""
-        strings = self._strings
-        pool: list[Location] = []
-        count = reader.bounded_varint(reader.remaining + 1, "location count")
-        for _ in range(count):
-            tag = reader.varint()
-            if tag == enc.LOC_FILE:
-                filename = strings.get(reader)
-                line = reader.varint()
-                pool.append(FileLineColLoc(filename, line, reader.varint()))
-            elif tag == enc.LOC_FUSED:
-                arity = reader.bounded_varint(
-                    reader.remaining + 1, "fused location arity"
-                )
-                parts = []
-                for _ in range(arity):
-                    ref = reader.bounded_varint(
-                        len(pool), "location reference"
-                    )
-                    parts.append(pool[ref])
-                pool.append(FusedLoc(parts))
-            else:
-                raise reader.error(f"unknown location pool tag {tag}")
-        mapping_count = reader.bounded_varint(
-            reader.remaining + 1, "location mapping count"
-        )
-        for _ in range(mapping_count):
-            op_index = reader.bounded_varint(
-                self._total_walk, "location op index"
-            )
-            ref = reader.bounded_varint(len(pool), "location reference")
-            self._locations[op_index] = pool[ref]
-        if not reader.at_end():
-            raise reader.error(
-                f"{reader.remaining} trailing bytes after the last location"
-            )
+                    handles.append(handle)
+        self.handles = handles
 
     # ------------------------------------------------------------------
     # Forcing
     # ------------------------------------------------------------------
 
-    def _span_reader(self, handle: LazyOpHandle) -> Reader:
+    def _span(self, handle: LazyOpHandle) -> tuple[int, int]:
         if self._closed:
             raise BytecodeError(
                 "lazy module reader is closed", self.name
             )
-        start = self._ops_payload_start + handle.byte_offset
-        return Reader(self.data, self.name, start,
-                      start + handle.byte_length)
+        start = self._ops_start + handle.byte_offset
+        return start, start + handle.byte_length
 
     def _force(self, handle: LazyOpHandle) -> Operation:
-        sub = self._span_reader(handle)
-        shard = _ShardValues(
-            self._values, handle.value_start,
-            handle.value_start + handle.value_count, sub,
-        )
-        module_reader = _ModuleReader(self.context, self._strings,
-                                      self._attrs)
-        region_blocks = list(handle.block.parent.blocks)
-        op = module_reader._read_op(sub, shard, region_blocks, depth=1)
-        if not sub.at_end():
-            raise sub.error(
-                f"{sub.remaining} trailing bytes after op "
-                f"#{handle.index}"
-            )
-        if module_reader.ops_decoded != handle.op_count:
-            raise sub.error(
-                f"op #{handle.index} decoded {module_reader.ops_decoded} "
-                f"ops, index declared {handle.op_count}"
-            )
-        if shard.cursor != handle.value_start + handle.value_count:
-            raise sub.error(
+        start, end = self._span(handle)
+        ints = varints(self.data, start, end, self.name)
+        reader = self._ops
+        values = handle.value_start, handle.value_start + handle.value_count
+        op = reader.read(ints, 0, start, end, values, handle.walk_start,
+                         list(handle.block.parent.blocks), 1,
+                         f"op #{handle.index}")
+        if reader.walk - handle.walk_start != handle.op_count:
+            raise reader.error(len(ints), (
+                f"op #{handle.index} decoded "
+                f"{reader.walk - handle.walk_start} ops, index declared "
+                f"{handle.op_count}"))
+        if reader.value != values[1]:
+            raise reader.error(len(ints), (
                 f"op #{handle.index} defined "
-                f"{shard.cursor - handle.value_start} values, index "
-                f"declared {handle.value_count}"
-            )
-        if self._locations:
-            for walk_index, inner in enumerate(
-                op.walk(), start=handle.walk_start
-            ):
-                location = self._locations.get(walk_index)
-                if location is not None:
-                    inner.location = location
-        forced = self._forced_positions[id(handle.block)]
+                f"{reader.value - handle.value_start} values, index "
+                f"declared {handle.value_count}"))
+        forced = self._forced_positions.setdefault(id(handle.block), [])
         position = bisect_left(forced, handle.block_position)
         handle.block.insert_op(op, position)
         insort(forced, handle.block_position)
         handle.op = op
+        self._forced += 1
         if OBS.metrics.enabled:
             OBS.metrics.counter("bytecode.lazy.ops_forced").inc()
         return op
@@ -633,7 +465,7 @@ class LazyModuleReader:
                                  category="bytecode"):
                 for handle in self.handles:
                     handle.force()
-            _wrapped(self.name, self._values.finish)
+            self._ops.values.check_resolved(self.name)
         return self.root
 
     # ------------------------------------------------------------------
@@ -653,7 +485,7 @@ class LazyModuleReader:
         self.close()
 
     def __repr__(self) -> str:
-        forced = sum(1 for h in self.handles if h.op is not None)
+        forced = self._forced if self.lazy else len(self.handles)
         mode = "lazy" if self.lazy else "eager-fallback"
         return (f"<LazyModuleReader {self.name!r} {mode} "
                 f"{forced}/{len(self.handles)} forced>")

@@ -366,3 +366,39 @@ class TestDiagnosticQuality:
         # Most single-bit flips must be *detected*; a decoder that accepts
         # everything would be vacuous here.
         assert survivors < 400
+
+
+class TestLazyMatchesEagerOnCorruption:
+    """Lazy decoding equals eager decoding on corrupt input too.
+
+    Every single-byte flip of the module artifact, in every section:
+    lazy open + force-all may raise only :class:`BytecodeError`, and
+    whenever it succeeds, eager decoding of the same bytes succeeds and
+    prints the identical module, locations included.  (Eager decoding
+    may accept more: it never reads the op index.)
+    """
+
+    def test_single_byte_flips(self, artifacts):
+        from repro.bytecode import LazyModuleReader
+        from repro.textir.printer import print_op
+
+        _, module_bytes, _ = artifacts
+        for pos in range(len(module_bytes)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(module_bytes)
+                mutated[pos] ^= flip
+                data = bytes(mutated)
+                try:
+                    lazy = LazyModuleReader(fresh_context(), data).module()
+                except BytecodeError:
+                    continue
+                try:
+                    eager = decode_module(fresh_context(), data)
+                except BytecodeError as err:
+                    pytest.fail(
+                        f"flip {flip:#04x} at byte {pos}: lazy decoding "
+                        f"succeeded, eager decoding failed: {err}"
+                    )
+                assert print_op(lazy, print_locations=True) == print_op(
+                    eager, print_locations=True
+                ), f"flip {flip:#04x} at byte {pos}: lazy and eager differ"

@@ -14,19 +14,21 @@ import io
 import pytest
 
 from repro.builtin import default_context
+from repro.builtin.types import IntegerType
 from repro.bytecode import (
     LazyModuleReader,
     decode_module,
     encode_module,
     encode_module_stream,
 )
-from repro.bytecode.wire import BytecodeError
+from repro.bytecode.wire import BytecodeError, varints
 from repro.corpus import (
     CORPUS_ORDER,
     cmath_source,
     load_hand_corpus,
     synthesize_module,
 )
+from repro.ir import Block, Operation, Region
 from repro.irdl import register_irdl
 from repro.irdl.irgen import IRGenerator, seed_values_dialect
 from repro.textir.parser import parse_module
@@ -203,3 +205,60 @@ def test_self_roundtrip_of_forced_module():
     data = encode_module(module)
     forced = LazyModuleReader(context, data).module()
     assert encode_module(forced) == data
+
+
+def many_block_root(blocks: int) -> Operation:
+    """A root with two regions of ``blocks`` blocks each: every third
+    block is empty, the others hold a use of the block's argument and a
+    branch to the next block; the second region's arguments are named."""
+    i32 = IntegerType(32)
+    root = Operation("test.root")
+    for named in (False, True):
+        region = Region()
+        for index in range(blocks):
+            block = Block([i32])
+            if named:
+                block.args[0].name_hint = f"a{index}"
+            region.add_block(block)
+        for index, block in enumerate(region.blocks):
+            if index % 3 == 1:
+                continue
+            block.add_op(Operation("test.use", [block.args[0]], [i32]))
+            if index + 1 < blocks:
+                block.add_op(Operation(
+                    "test.br", successors=[region.blocks[index + 1]]
+                ))
+        root.add_region(region)
+    return root
+
+
+def test_root_with_many_blocks_and_regions_matches_eager():
+    context = default_context(allow_unregistered=True)
+    data = encode_module(many_block_root(12))
+    eager, _ = assert_lazy_matches_eager(context, data)
+    reader = LazyModuleReader(context, data)
+    assert len(reader.handles) == 2 * (8 * 2 - 1)
+    for handle in reversed(reader.handles):
+        handle.force()
+    assert print_op(reader.module()) == print_op(eager)
+
+
+def test_open_decodes_each_shell_varint_about_once(monkeypatch):
+    """Opening reads the shell between runs only as far as it needs:
+    the varints decoded stay within a small multiple of the artifact's
+    size however many blocks the root has (re-decoding the rest of the
+    shell after every run made open quadratic in the block count)."""
+    import repro.bytecode.lazy as lazy
+
+    context = default_context(allow_unregistered=True)
+    data = encode_module(many_block_root(2000))
+    decoded = []
+
+    def counted(data, start, end, name="<bytecode>"):
+        decoded.append(end - start)
+        return varints(data, start, end, name)
+
+    monkeypatch.setattr(lazy, "varints", counted)
+    reader = LazyModuleReader(context, data)
+    assert reader.lazy and len(reader.handles) > 2000
+    assert sum(decoded) < 2 * len(data)

@@ -11,10 +11,11 @@ from repro.bytecode import is_bytecode
 from repro.bytecode.wire import (
     MAGIC,
     BytecodeError,
-    FileWriter,
     Reader,
     Writer,
+    strings,
     unzigzag,
+    varints,
     zigzag,
 )
 
@@ -49,15 +50,16 @@ class TestVarint:
         values = [*range(300), 2**14, 2**32, 2**64 - 1]
         expected = Writer()
         handle = io.BytesIO()
-        streamed = FileWriter(handle)
+        streamed = Writer(handle)
         for value in values:
             expected.varint(value)
             streamed.varint(value)
+        streamed.flush()
         assert handle.getvalue() == expected.getvalue()
-        assert len(streamed) == len(expected)
+        assert streamed.tell() == len(expected)
 
     def test_negative_value_rejected_by_both_writers(self):
-        for writer in (Writer(), FileWriter(io.BytesIO())):
+        for writer in (Writer(), Writer(io.BytesIO())):
             with pytest.raises(ValueError, match="negative"):
                 writer.varint(-1)
 
@@ -68,6 +70,45 @@ class TestVarint:
             r.varint()
         with pytest.raises(BytecodeError, match="at byte 1: truncated input"):
             r.bounded_varint(16, "count")
+
+
+class TestVarints:
+    """``varints``: one pass over a range of the artifact."""
+
+    def test_decodes_every_varint_of_the_range(self):
+        values = [0, 1, 127, 128, 300, 2**32, 2**64 - 1, 5]
+        w = Writer()
+        w.raw(b"\xff\xff")
+        for value in values:
+            w.varint(value)
+        data = w.getvalue() + b"\x80"
+        assert varints(data, 2, len(data) - 1) == values
+
+    def test_empty_range(self):
+        assert varints(b"\x80\x01", 1, 1) == []
+
+    def test_truncated_last_varint_rejected(self):
+        with pytest.raises(BytecodeError, match="truncated input"):
+            varints(b"\x05\x80\x80", 0, 3)
+
+    def test_eleven_byte_varint_rejected(self):
+        with pytest.raises(BytecodeError, match="longer than 10 bytes"):
+            varints(b"\x80" * 10 + b"\x01", 0, 11)
+
+    def test_ten_byte_maximum_accepted(self):
+        w = Writer()
+        w.varint(2**64 - 1)
+        assert len(w) == 10
+        assert varints(w.getvalue(), 0, 10) == [2**64 - 1]
+
+    def test_offsets_count_from_the_start_of_the_artifact(self):
+        data = b"IRBC\x01\x80\x80"
+        with pytest.raises(BytecodeError, match="at byte 7: truncated"):
+            varints(data, 4, 7, "a.irbc")
+        data = b"IRBC\x01" + b"\x80" * 11
+        with pytest.raises(BytecodeError,
+                           match="a.irbc: at byte 15: varint is longer"):
+            varints(data, 4, len(data), "a.irbc")
 
 
 class TestSigned:
@@ -86,25 +127,41 @@ class TestSigned:
 
 
 class TestStrings:
+    """The string table: a count, then length-prefixed UTF-8 strings."""
+
+    @staticmethod
+    def table(*texts: str) -> bytes:
+        w = Writer()
+        w.varint(len(texts))
+        for text in texts:
+            w.string_bytes(text)
+        return w.getvalue()
+
     @pytest.mark.parametrize("text", ["", "abc", "héllo ✓", "a" * 1000])
     def test_roundtrip(self, text):
-        w = Writer()
-        w.string_bytes(text)
-        assert Reader(w.getvalue()).string_bytes() == text
+        data = self.table("x", text, "y")
+        assert strings(data, 0, len(data)) == ["x", text, "y"]
 
     def test_truncated_string_rejected(self):
-        w = Writer()
-        w.string_bytes("hello")
-        data = w.getvalue()[:-2]
+        data = self.table("hello")[:-2]
         with pytest.raises(BytecodeError):
-            Reader(data).string_bytes()
+            strings(data, 0, len(data))
+
+    def test_length_past_the_end_rejected(self):
+        data = b"pad" + self.table("ok", "hello") + b"trailing"
+        end = len(data) - len("trailing") - 2
+        with pytest.raises(BytecodeError, match=(
+            r"at byte 8: truncated input: needed 5 bytes, have 3"
+        )):
+            strings(data, 3, end)
 
     def test_invalid_utf8_rejected(self):
         w = Writer()
+        w.varint(1)
         w.varint(2)
         w.raw(b"\xff\xfe")
         with pytest.raises(BytecodeError, match="UTF-8"):
-            Reader(w.getvalue()).string_bytes()
+            strings(w.getvalue(), 0, len(w))
 
 
 class TestFloatBits:

@@ -1,11 +1,13 @@
-"""The nesting limit shared by the textual parser and the IRBC decoder.
+"""The nesting limit shared by the textual parser and the IRBC codec.
 
 Both read regions by recursion, one level at a time, as do the printer
 and ``Operation.verify``.  A chain of single-block regions
 ``MAX_NESTING`` deep parses, prints, verifies, encodes and decodes from
 a test's stack; one level deeper, the parser reports the offending
-``{`` and the decoder names the limit.
+``{``, and the encoders and the decoder name the limit.
 """
+
+import io
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.bytecode import (
     LazyModuleReader,
     decode_module,
     encode_module,
+    encode_module_stream,
+    encoder,
 )
 from repro.ir import MAX_NESTING, Block, Operation, Region
 from repro.textir import parse_module, print_op
@@ -107,8 +111,34 @@ def test_decoder_at_the_limit(context):
         assert print_op(reader.module()) == print_op(module)
 
 
-def test_decoder_names_the_limit_one_level_deeper(context):
+def test_both_encoders_at_the_limit(context):
+    module = chain_module(MAX_NESTING)
+    stream = io.BytesIO()
+    encode_module_stream(module, stream)
+    assert stream.getvalue() == encode_module(module)
+    assert print_op(decode_module(context, stream.getvalue())) == print_op(
+        module
+    )
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1200])
+def test_encoders_name_the_limit_before_writing(levels):
+    module = chain_module(levels)
+    limit = f"regions nest deeper than the limit of {MAX_NESTING}"
+    with pytest.raises(BytecodeError, match=limit):
+        encode_module(module)
+    stream = io.BytesIO()
+    with pytest.raises(BytecodeError, match=limit):
+        encode_module_stream(module, stream)
+    assert stream.getvalue() == b""
+
+
+def test_decoder_names_the_limit_one_level_deeper(context, monkeypatch):
+    # The encoders refuse this depth; one level of slack writes the
+    # artifact a foreign writer could produce.
+    monkeypatch.setattr(encoder, "MAX_NESTING", MAX_NESTING + 1)
     data = encode_module(chain_module(MAX_NESTING + 1))
+    monkeypatch.undo()
     with pytest.raises(BytecodeError) as info:
         decode_module(context, data, name="deep.irbc")
     message = str(info.value)
