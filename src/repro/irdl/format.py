@@ -45,17 +45,25 @@ from repro.irdl.constraints import (
     VarConstraint,
 )
 from repro.irdl.defs import OpDef
-from repro.utils.diagnostics import DiagnosticError
+from repro.utils.diagnostics import Diagnostic, DiagnosticError
 
 if TYPE_CHECKING:
     from repro.ir.operation import Operation
     from repro.textir.lexer import Token
     from repro.textir.parser import IRParser
     from repro.textir.printer import Printer
+    from repro.utils.source import Span
 
 
-class FormatError(Exception):
-    """A format string is malformed or cannot infer all types."""
+class FormatError(DiagnosticError):
+    """A format string is malformed or cannot infer all types.
+
+    Registration re-raises it at the declaration that owns the format.
+    """
+
+    def __init__(self, message: str, span: "Span | None" = None):
+        self.message = message
+        super().__init__(Diagnostic(message, span))
 
 
 # ---------------------------------------------------------------------------

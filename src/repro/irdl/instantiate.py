@@ -46,10 +46,10 @@ from repro.irdl.constraints import (
     FloatAttrConstraint,
 )
 from repro.irdl.defs import DialectDef, OpDef, TypeDef
-from repro.irdl.format import FormatProgram
+from repro.irdl.format import FormatError, FormatProgram
 from repro.irdl.irdl_py import AttrProxy, compile_predicate
 from repro.irdl.parser import parse_irdl
-from repro.irdl.resolver import Scope, resolve_dialect_body
+from repro.irdl.resolver import Scope, compile_py, resolve_dialect_body
 from repro.irdl.verifier import make_op_verifier
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS
@@ -71,17 +71,21 @@ class DynamicAttrDef(AttrDefBinding):
         #: emitted source is kept for ``irdl-opt --dump-generated``.
         self._compiled_params = None
         self.generated_param_source: str | None = None
-        self._py_predicates = [
-            (code, compile_predicate(code)) for code in type_def_ast.py_constraints
-        ]
+        codes = type_def_ast.py_constraints
+        compiled = compile_py(type_def_ast, compile_predicate, codes)
+        self._py_predicates = list(zip(codes, compiled))
         #: Declarative parameter format (§4.7), when declared.
         self.param_format = None
         if type_def_ast.format is not None:
             from repro.irdl.format import TypeFormatProgram
 
-            self.param_format = TypeFormatProgram(
-                self.qualified_name, self.parameter_names, type_def_ast.format
-            )
+            try:
+                self.param_format = TypeFormatProgram(
+                    self.qualified_name, self.parameter_names,
+                    type_def_ast.format,
+                )
+            except FormatError as err:
+                raise FormatError(err.message, type_def_ast.span) from None
 
     def attach_type_def(self, type_def: TypeDef) -> None:
         """Install the resolved definition (and, when codegen is on, a
@@ -266,18 +270,19 @@ def _register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
 
     context.register_dialect(binding)
     try:
-        scope = Scope(context, decl)
-        dialect_def = resolve_dialect_body(decl, scope)
-    except Exception:
-        # Roll back a partially registered dialect so the context stays
-        # consistent after a resolution error.
+        dialect_def = resolve_dialect_body(decl, Scope(context, decl))
+        for type_def in (*dialect_def.types, *dialect_def.attributes):
+            attr_bindings[type_def.name].attach_type_def(type_def)
+        for op_decl, op_def in zip(decl.operations, dialect_def.operations):
+            try:
+                binding.register_op(DynamicOpDef(op_def))
+            except FormatError as err:
+                raise FormatError(err.message, op_decl.span) from None
+    except BaseException:
+        # Roll back the partly registered dialect, so the context stays
+        # consistent and a corrected retry can register it.
         del context.dialects[decl.name]
         raise
-
-    for type_def in (*dialect_def.types, *dialect_def.attributes):
-        attr_bindings[type_def.name].attach_type_def(type_def)
-    for op_def in dialect_def.operations:
-        binding.register_op(DynamicOpDef(op_def))
 
     # Expose the resolved definition and syntax tree for introspection
     # (§6's analyses run over these records; cross-dialect alias lookup

@@ -14,7 +14,7 @@ native and IRDL-instantiated.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.ir.context import Context
 from repro.ir.dialect import AttrDefBinding, DialectBinding, EnumBinding
@@ -33,6 +33,7 @@ from repro.irdl.defs import (
     RegionDef,
     TypeDef,
 )
+from repro.irdl.irdl_py import compile_op_predicate, compile_predicate
 from repro.utils.diagnostics import DiagnosticError
 
 #: Dialects whose members may be referenced without a prefix (§4.2).
@@ -49,6 +50,21 @@ class ResolutionError(DiagnosticError):
 def _error(message: str, expr: ast.ConstraintExpr | None = None) -> ResolutionError:
     span = getattr(expr, "span", None)
     return ResolutionError.at(message, span)
+
+
+def compile_py(decl, compiler: Callable[[str], Any], codes: Sequence[str]) -> list:
+    """Compile a declaration's IRDL-Py code (§5.1) with ``compiler``;
+    code that does not compile is reported at the declaration."""
+    compiled = []
+    for code in codes:
+        try:
+            compiled.append(compiler(code))
+        except (SyntaxError, ValueError) as err:  # ValueError: NUL bytes
+            reason = getattr(err, "msg", err)
+            raise _error(
+                f"PyConstraint {code!r} does not compile: {reason}", decl
+            ) from None
+    return compiled
 
 
 class Scope:
@@ -71,6 +87,9 @@ class Scope:
         self.alias_env: dict[str, C.Constraint] = {}
         #: Aliases currently being expanded (cycle detection).
         self._expanding: set[str] = set()
+        #: Spelling (:func:`_spelling`) → resolved constraint, so equal
+        #: spellings in this dialect share one immutable constraint.
+        self.memo: dict[tuple, C.Constraint] = {}
 
     # ------------------------------------------------------------------
     # Lookups honouring §4.2's namespace rules
@@ -131,7 +150,38 @@ class Scope:
 # ---------------------------------------------------------------------------
 
 def resolve_constraint(expr: ast.ConstraintExpr, scope: Scope) -> C.Constraint:
-    """Resolve one constraint expression to a runtime constraint."""
+    """Resolve one constraint expression to a runtime constraint.
+
+    Equal spellings in one scope resolve once and share the result, except
+    while constraint variables or alias parameters are in scope: those
+    mean something else per operation or per expansion.  Failures are not
+    memoized, so each occurrence raises at its own span.
+    """
+    if scope.constraint_vars or scope.alias_env:
+        return _resolve(expr, scope)
+    key = _spelling(expr)
+    constraint = scope.memo.get(key)
+    if constraint is None:
+        constraint = scope.memo[key] = _resolve(expr, scope)
+    return constraint
+
+
+def _spelling(expr: ast.ConstraintExpr) -> tuple:
+    """An expression's class and fields, without spans: the memo key."""
+    if isinstance(expr, ast.RefExpr):
+        params = expr.params
+        return (ast.RefExpr, expr.sigil, expr.name,
+                None if params is None else tuple(map(_spelling, params)))
+    if isinstance(expr, ast.IntLiteralExpr):
+        return (ast.IntLiteralExpr, expr.value, expr.type_name)
+    if isinstance(expr, ast.StringLiteralExpr):
+        return (ast.StringLiteralExpr, expr.value)
+    if isinstance(expr, ast.ListExpr):
+        return (ast.ListExpr, tuple(map(_spelling, expr.elements)))
+    raise _error(f"unsupported constraint expression {expr!r}", expr)
+
+
+def _resolve(expr: ast.ConstraintExpr, scope: Scope) -> C.Constraint:
     if isinstance(expr, ast.IntLiteralExpr):
         return _resolve_int_literal(expr)
     if isinstance(expr, ast.StringLiteralExpr):
@@ -467,6 +517,8 @@ def resolve_dialect_body(decl: ast.DialectDecl, scope: Scope) -> DialectDef:
     for constraint_decl in decl.constraints:
         base = resolve_constraint(constraint_decl.base, scope)
         if constraint_decl.py_constraint is not None:
+            compile_py(constraint_decl, compile_predicate,
+                       [constraint_decl.py_constraint])
             resolved: C.Constraint = C.PyConstraint(
                 constraint_decl.name, base, constraint_decl.py_constraint
             )
@@ -539,11 +591,13 @@ def _decl_location(decl) -> "Location":
 
 
 def _resolve_op_decl(decl: ast.OperationDecl, scope: Scope) -> OpDef:
+    compile_py(decl, compile_op_predicate, decl.py_constraints)
     scope.constraint_vars = {}
     for var_decl in decl.constraint_vars:
         if var_decl.name in scope.constraint_vars:
             raise _error(
-                f"constraint variable {var_decl.name!r} is declared twice"
+                f"constraint variable {var_decl.name!r} is declared twice",
+                var_decl,
             )
         base = resolve_constraint(var_decl.constraint, scope)
         scope.constraint_vars[var_decl.name] = C.VarConstraint(
@@ -567,7 +621,6 @@ def _resolve_op_decl(decl: ast.OperationDecl, scope: Scope) -> OpDef:
         )
     finally:
         scope.constraint_vars = {}
-    _check_variadic_sanity(op_def)
     return op_def
 
 
@@ -590,17 +643,3 @@ def _resolve_region(decl: ast.RegionDecl, scope: Scope) -> RegionDef:
         arguments=[_resolve_arg(a, scope) for a in decl.arguments],
         terminator=terminator,
     )
-
-
-def _check_variadic_sanity(op_def: OpDef) -> None:
-    """§4.6: multiple variadic segments need a segment-sizes attribute.
-
-    That attribute is checked at verification time; here we only validate
-    that variadic results stay within what IRDL defines.
-    """
-    for args, kind in ((op_def.operands, "operand"), (op_def.results, "result")):
-        variadic = [a for a in args if a.is_variadic]
-        if len(variadic) > 1:
-            # Requires <kind>_segment_sizes at runtime; nothing to reject
-            # statically.  Record nothing — the verifier handles it.
-            continue
