@@ -1,9 +1,8 @@
 """Benchmark gate for definition-time code generation (PR 4).
 
-Measures the generated-verifier fast path against the interpretive
-:class:`~repro.irdl.plan.VerificationPlan` reference it was lowered
-from, plus the precompiled declarative-format programs against their
-interpretive walkers.  Three workloads:
+Measures the generated verifiers that registration installs against the
+interpretive :meth:`repro.irdl.plan.VerificationPlan.run` reference they
+were lowered from, called directly.  Two workloads:
 
 * ``verify_kernel`` — repeated verification of a hot straight-line op
   (Eq operand/result constraints plus two attribute constraints), the
@@ -13,9 +12,6 @@ interpretive walkers.  Three workloads:
   module, one verify call each.  Region-heavy ops dilute the win
   (region traversal is shared code), so this is informational with a
   soft floor.
-* ``format_roundtrip`` — parsing and printing modules whose ops use
-  declarative formats, compiled directive programs vs the interpretive
-  element walkers.
 
 Results are exported to ``benchmarks/results/BENCH_codegen.json`` so CI
 can archive them, together with a ``codegen.STATS`` snapshot and the
@@ -38,7 +34,6 @@ from repro.irdl import codegen, register_irdl
 from repro.irdl.irgen import IRGenerator, seed_values_dialect
 from repro.irdl.plan import CONSTRAINT_MEMO
 from repro.obs import MetricsRegistry, enable_metrics, reset
-from repro.textir import parse_module, print_op
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_codegen.json")
@@ -83,17 +78,10 @@ def _best_of(fn, loops, repeats=5):
     return best
 
 
-def _bench_contexts():
-    """One context per configuration: codegen on and codegen off."""
-    compiled = default_context()
-    register_irdl(compiled, BENCH_DIALECT)
-    codegen.set_enabled(False)
-    try:
-        interpretive = default_context()
-        register_irdl(interpretive, BENCH_DIALECT)
-    finally:
-        codegen.set_enabled(True)
-    return compiled, interpretive
+def _bench_context():
+    context = default_context()
+    register_irdl(context, BENCH_DIALECT)
+    return context
 
 
 def _kernel_op():
@@ -109,12 +97,11 @@ def _kernel_op():
     )
 
 
-def _bench_kernel(compiled, interpretive, loops=20_000):
+def _bench_kernel(context, loops=20_000):
     op = _kernel_op()
-    verify_compiled = compiled.get_op_def("bench.kernel").verify
-    verify_interp = interpretive.get_op_def("bench.kernel").verify
-    assert compiled.get_op_def("bench.kernel")._verifier.compiled
-    assert not interpretive.get_op_def("bench.kernel")._verifier.compiled
+    binding = context.get_op_def("bench.kernel")
+    verify_compiled = binding.verify
+    verify_interp = binding._verifier.plan.run
     verify_compiled(op)
     verify_interp(op)
     generated = _best_of(lambda: verify_compiled(op), loops)
@@ -130,9 +117,9 @@ def _bench_kernel(compiled, interpretive, loops=20_000):
 def _bench_corpus_mix(loops=30):
     """Verify every op of a generated corpus module through both paths.
 
-    Uses one corpus registration (codegen on) and compares each
-    binding's generated verifier against the ``plan.run`` it was
-    lowered from, so both sides see identical operations.
+    Uses one corpus registration and compares each binding's generated
+    verifier against the ``plan.run`` it was lowered from, so both sides
+    see identical operations.
     """
     from repro.corpus import load_corpus
 
@@ -143,10 +130,8 @@ def _bench_corpus_mix(loops=30):
     pairs = []
     for op in module.walk():
         binding = ctx.get_op_def(op.name)
-        if binding is None or getattr(binding, "_verifier", None) is None:
-            continue
-        if not binding._verifier.compiled:
-            continue
+        if not hasattr(getattr(binding, "_verifier", None), "plan"):
+            continue  # natively implemented: no generated verifier
         pairs.append((binding._verifier, binding._verifier.plan.run, op))
     assert len(pairs) > 50
 
@@ -171,35 +156,6 @@ def _bench_corpus_mix(loops=30):
     }
 
 
-def _format_module_text(n_ops=40):
-    body = ["^bb0(%a: !i32, %b: !i32):"]
-    for index in range(n_ops):
-        body.append(f'  bench.tagged "t{index}"')
-        body.append("  bench.move %a to %b")
-    inner = "\n".join(body)
-    return '"builtin.module"() ({\n%s\n}) : () -> ()' % inner
-
-
-def _bench_format(compiled, interpretive, loops=200):
-    text = _format_module_text()
-    module_compiled = parse_module(compiled, text)
-    module_interp = parse_module(interpretive, text)
-    parse_gen = _best_of(lambda: parse_module(compiled, text), loops)
-    parse_interp = _best_of(lambda: parse_module(interpretive, text), loops)
-    print_gen = _best_of(lambda: print_op(module_compiled), loops)
-    print_interp = _best_of(lambda: print_op(module_interp), loops)
-    assert print_op(module_compiled) == print_op(module_interp)
-    return {
-        "loops": loops,
-        "parse_generated_us": parse_gen / loops * 1e6,
-        "parse_interpretive_us": parse_interp / loops * 1e6,
-        "parse_speedup": parse_interp / parse_gen,
-        "print_generated_us": print_gen / loops * 1e6,
-        "print_interpretive_us": print_interp / loops * 1e6,
-        "print_speedup": print_interp / print_gen,
-    }
-
-
 def _collect_codegen_counters():
     """Register the bench dialect under a metered registry."""
     registry = enable_metrics(MetricsRegistry())
@@ -218,10 +174,8 @@ def _collect_codegen_counters():
 
 def test_codegen_speedup():
     CONSTRAINT_MEMO.clear()
-    compiled, interpretive = _bench_contexts()
-    kernel = _bench_kernel(compiled, interpretive)
+    kernel = _bench_kernel(_bench_context())
     mix = _bench_corpus_mix()
-    formats = _bench_format(compiled, interpretive)
     counters = _collect_codegen_counters()
 
     payload = {
@@ -229,7 +183,6 @@ def test_codegen_speedup():
         "min_speedup": MIN_SPEEDUP,
         "verify_kernel": kernel,
         "verify_corpus_mix": mix,
-        "format_roundtrip": formats,
         "codegen_stats": dict(codegen.STATS),
         "codegen_counters": counters,
     }
@@ -239,7 +192,6 @@ def test_codegen_speedup():
         handle.write("\n")
 
     assert counters.get("irdl.codegen.definitions_compiled", 0) >= 3
-    assert counters.get("irdl.codegen.formats_compiled", 0) >= 2
     assert kernel["speedup"] >= MIN_SPEEDUP, (
         f"generated verifier only {kernel['speedup']:.2f}x faster than the "
         f"interpretive plan on the kernel workload (gate: {MIN_SPEEDUP}x); "

@@ -2,8 +2,8 @@
 
 Measures the root-indexed compiled matcher table plus the worklist
 driver against the round-based re-walk reference
-(``REPRO_NO_COMPILED_MATCH``) on a many-pattern corpus mix.  Two
-workloads:
+(:class:`~repro.rewriting.driver.RoundBasedDriver`) on a many-pattern
+corpus mix.  Two workloads:
 
 * ``driver_fixpoint`` — the gated number: a module of constant-folding
   chains diluted with many-root filler ops, driven to fixpoint under
@@ -35,6 +35,7 @@ from repro.builtin import IntegerAttr, default_context, i32
 from repro.ir import Block, Region
 from repro.obs import MetricsRegistry, enable_metrics, reset
 from repro.rewriting import GreedyPatternDriver, matcher, pattern
+from repro.rewriting.driver import RoundBasedDriver
 from repro.textir import print_op
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -155,11 +156,8 @@ def _build_module(ctx, with_chains):
 
 
 def _make_driver(ctx, patterns, compiled):
-    matcher.set_enabled(compiled)
-    try:
-        return GreedyPatternDriver(ctx, patterns)
-    finally:
-        matcher.set_enabled(True)
+    driver_class = GreedyPatternDriver if compiled else RoundBasedDriver
+    return driver_class(ctx, patterns)
 
 
 def _check_equivalence(ctx, patterns, with_chains):

@@ -47,17 +47,17 @@ Soundness leans on the same two invariants as the constraint memo:
 constraints and attributes are immutable, and uniqued attribute storage
 makes identity a sound fast path for equality.
 
-The interpretive path remains the reference implementation:
-``REPRO_NO_CODEGEN=1`` (or ``irdl-opt --no-codegen``) disables the
-emitter for subsequently registered definitions, and
-``tests/irdl/test_codegen_differential.py`` proves the two paths agree
-on accept/reject — with identical diagnostics — over the fuzz corpus.
+Registration always installs the generated verifiers.  The interpretive
+:meth:`VerificationPlan.run <repro.irdl.plan.VerificationPlan.run>` and
+:func:`repro.irdl.plan.verify_parameters` remain as test oracles:
+``tests/irdl/test_codegen_differential.py`` proves the generated
+verifiers agree with them on accept/reject — with identical
+diagnostics — over the fuzz corpus.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from types import CodeType
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -84,37 +84,14 @@ __all__ = [
     "STATS",
     "compile_op_verifier",
     "compile_param_verifier",
-    "enabled",
-    "set_enabled",
     "shared_code",
 ]
 
 
-_ENV_FLAG = "REPRO_NO_CODEGEN"
-_disabled_by_flag = False
-
 #: Process-lifetime emitter statistics (mirrored into ``repro.obs`` as
 #: ``irdl.codegen.*`` whenever metrics are enabled).
-STATS = {"definitions_compiled": 0, "formats_compiled": 0,
-         "source_bytes": 0, "code_reused": 0}
+STATS = {"definitions_compiled": 0, "source_bytes": 0, "code_reused": 0}
 _STATS_LOCK = threading.Lock()
-
-
-def enabled() -> bool:
-    """Whether definition-time code generation is currently on.
-
-    Consulted at *registration* time: flipping the switch affects
-    definitions registered afterwards, never already-installed verifiers.
-    """
-    if _disabled_by_flag:
-        return False
-    return os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes", "on")
-
-
-def set_enabled(value: bool) -> None:
-    """Force codegen on/off for this process (``irdl-opt --no-codegen``)."""
-    global _disabled_by_flag
-    _disabled_by_flag = not value
 
 
 #: Set by :func:`shared_code` on a cache miss, so the calling thread can
@@ -421,13 +398,6 @@ def _note_compiled(em: _Emitter, qualified_name: str) -> str:
         if em.reused:
             scope.counter("code_reused").inc()
     return source
-
-
-def note_format_compiled() -> None:
-    """Record one declarative format precompiled to a directive program."""
-    STATS["formats_compiled"] += 1
-    if OBS.metrics.enabled:
-        OBS.metrics.counter("irdl.codegen.formats_compiled").inc()
 
 
 def compile_param_verifier(

@@ -7,7 +7,9 @@ An operation may declare a ``Format`` string such as::
 from which IRDL derives both a parser and a printer.  ``$name``
 directives refer to the operation's operands, attributes, or constraint
 variables; ``$var.param`` refers to a named parameter of the type bound
-to a constraint variable.  Everything else is literal text.
+to a constraint variable.  Everything else is literal text: the
+punctuation ``( ) [ ] < > , : = ->`` or a bare keyword.  Any other
+character is a :class:`FormatError` at registration.
 
 Types never written in the custom syntax are *reconstructed* from
 constraint-variable bindings: parsing ``f32`` as ``$T.elementType`` in
@@ -16,33 +18,23 @@ operands and the result.  At registration time the format is validated:
 every operand and result type must be inferable from the directives, so
 malformed formats are rejected before any IR is parsed.
 
-Since the codegen PR, validation is also when the directive list is
-*precompiled* into flat programs (:mod:`repro.irdl.codegen` gates this):
-literal token kinds are resolved against the lexer once, operand
-directives get fixed token slots, literal runs (including the
-inter-directive spacing rules) are merged into single ``write`` strings,
-and the constraint-variable inference order is frozen — so ``parse`` and
-``print`` execute straight-line opcode loops instead of re-matching
-directive classes per operation.  The directive interpreters remain the
-reference implementation and run whenever codegen is disabled
-(``REPRO_NO_CODEGEN=1`` / ``irdl-opt --no-codegen``).
+The parser and printer interpret the validated directive list
+directly, one loop per operation or parameter list.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.ir.attributes import Attribute
 from repro.ir.exceptions import VerifyError
-from repro.irdl.ast import Variadicity
 from repro.irdl.constraints import (
     CannotInfer,
     Constraint,
     ConstraintContext,
     ParametricConstraint,
-    VarConstraint,
 )
 from repro.irdl.defs import OpDef
 from repro.utils.diagnostics import Diagnostic, DiagnosticError
@@ -110,6 +102,7 @@ _TOKEN_RE = re.compile(
     r"\$[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?"  # $name(.param)?
     r"|->|[(),:<>\[\]=]"                                       # punctuation
     r"|[A-Za-z_][A-Za-z0-9_]*"                                 # keywords
+    r"|(?P<unsupported>\S)"                                    # anything else
 )
 
 #: Literal punctuation that attaches to the preceding directive when
@@ -117,131 +110,40 @@ _TOKEN_RE = re.compile(
 _TIGHT_LITERALS = {",", ")", "]", ">"}
 
 
+def _format_tokens(owner: str, text: str) -> Iterator[str]:
+    """The directives and literals of a format string, in string order.
+
+    Raises :class:`FormatError` at the first character outside the
+    directive grammar.  Callers resolve each directive as it arrives, so
+    every problem is reported in the order it appears in the string.
+    """
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "unsupported":
+            raise FormatError(
+                f"{owner}: format {text!r} has an unsupported character "
+                f"{match.group()!r} at offset {match.start()}"
+            )
+        yield match.group()
+
+
 # ---------------------------------------------------------------------------
-# Format compilation
+# Operation formats
 # ---------------------------------------------------------------------------
-
-# Parse-program opcodes (first element of each instruction tuple).
-_P_PUNCT = 0      # (op, token_kind, description)
-_P_KEYWORD = 1    # (op, text, description)
-_P_OPERAND = 2    # (op, slot_index, description)
-_P_ATTR = 3       # (op, attr_name)
-_P_VARTYPE = 4    # (op, var_name)
-_P_VARPARAM = 5   # (op, var_name, param_index)
-
-# Print-program opcodes.
-_W_TEXT = 0       # (op, merged_literal_text)
-_W_OPERAND = 1    # (op, operand_index)
-_W_ATTR = 2       # (op, attr_name)
-_W_VARTYPE = 3    # (op, var_name)
-_W_VARPARAM = 4   # (op, var_name, param_index)
-
-
-def _literal_parse_instr(text: str) -> tuple:
-    """Resolve one literal's token kind once, at registration time."""
-    from repro.textir.lexer import PUNCTUATION, TokenKind
-
-    if text == "->":
-        return (_P_PUNCT, TokenKind.ARROW, "'->'")
-    kind = PUNCTUATION.get(text)
-    if kind is not None:
-        return (_P_PUNCT, kind, f"{text!r}")
-    return (_P_KEYWORD, text, f"keyword {text!r}")
-
 
 class FormatProgram:
-    """A compiled assembly format: a directive list plus inference plans."""
+    """A validated assembly format: the directive list it interprets."""
 
     def __init__(self, op_def: OpDef, directives: list[Directive]):
         self.op_def = op_def
         self.directives = directives
-        #: Precompiled opcode programs (built after validation when
-        #: definition-time codegen is enabled; ``None`` → interpretive).
-        self._parse_ops: tuple[tuple, ...] | None = None
-        self._print_ops: tuple[tuple, ...] | None = None
-        self._var_order: tuple[str, ...] = ()
-        self._var_param_order: tuple[str, ...] = ()
-        self._operand_infer: tuple[tuple[str, Constraint], ...] = ()
-        self._result_infer: tuple[tuple[str, Constraint], ...] = ()
 
     @classmethod
     def compile(cls, op_def: OpDef) -> "FormatProgram":
-        """Compile and validate ``op_def.format``."""
-        from repro.irdl import codegen
-
+        """Scan and validate ``op_def.format``."""
         assert op_def.format is not None
-        directives = _scan_directives(op_def)
-        program = cls(op_def, directives)
+        program = cls(op_def, _scan_directives(op_def))
         program._validate()
-        if codegen.enabled():
-            program._precompile()
-            codegen.note_format_compiled()
         return program
-
-    def _precompile(self) -> None:
-        """Lower the directive list into flat parse/print programs.
-
-        Everything re-derived per operation by the interpretive loops is
-        resolved here once: literal token kinds, operand token slots,
-        print spacing (merged into literal runs), and the order in which
-        constraint variables are verified and types inferred.
-        """
-        op_def = self.op_def
-        parse_ops: list[tuple] = []
-        print_ops: list[tuple] = []
-        pending: list[str] = []
-        var_order: list[str] = []
-        var_param_order: list[str] = []
-
-        def flush_text() -> None:
-            if pending:
-                print_ops.append((_W_TEXT, "".join(pending)))
-                pending.clear()
-
-        for directive in self.directives:
-            if isinstance(directive, LiteralDirective):
-                text = directive.text
-                parse_ops.append(_literal_parse_instr(text))
-                pending.append(
-                    text if text in _TIGHT_LITERALS else f" {text}"
-                )
-                continue
-            pending.append(" ")
-            flush_text()
-            if isinstance(directive, OperandDirective):
-                parse_ops.append(
-                    (_P_OPERAND, directive.index, f"operand ${directive.name}")
-                )
-                print_ops.append((_W_OPERAND, directive.index))
-            elif isinstance(directive, AttributeDirective):
-                parse_ops.append((_P_ATTR, directive.name))
-                print_ops.append((_W_ATTR, directive.name))
-            elif isinstance(directive, VarTypeDirective):
-                parse_ops.append((_P_VARTYPE, directive.var))
-                print_ops.append((_W_VARTYPE, directive.var))
-                if directive.var not in var_order:
-                    var_order.append(directive.var)
-            else:
-                parse_ops.append(
-                    (_P_VARPARAM, directive.var, directive.param_index)
-                )
-                print_ops.append(
-                    (_W_VARPARAM, directive.var, directive.param_index)
-                )
-                if directive.var not in var_param_order:
-                    var_param_order.append(directive.var)
-        flush_text()
-
-        self._parse_ops = tuple(parse_ops)
-        self._print_ops = tuple(print_ops)
-        self._var_order = tuple(var_order)
-        self._var_param_order = tuple(var_param_order)
-        self._operand_infer = tuple(
-            (a.name, a.constraint) for a in op_def.operands
-        )
-        self._result_infer = tuple(
-            (a.name, a.constraint) for a in op_def.results
-        )
 
     # -- validation ----------------------------------------------------
 
@@ -304,76 +206,12 @@ class FormatProgram:
 
     # -- parsing ---------------------------------------------------------
 
-    def parse(self, parser: "IRParser", definition: Any) -> "Operation":
+    def parse(self, parser: "IRParser") -> "Operation":
         """Parse the custom syntax following the operation name."""
-        if self._parse_ops is None:
-            return self._parse_interp(parser, definition)
         from repro.textir.lexer import TokenKind
 
         op_def = self.op_def
-        tokens: list["Token" | None] = [None] * len(op_def.operands)
-        attributes: dict[str, Attribute] = {}
-        var_types: dict[str, Attribute] = {}
-        var_params: dict[str, dict[int, Any]] = {}
-
-        for instr in self._parse_ops:
-            code = instr[0]
-            if code == _P_PUNCT:
-                parser.expect(instr[1], instr[2])
-            elif code == _P_KEYWORD:
-                token = parser.expect(TokenKind.BARE_IDENT, instr[2])
-                if token.text != instr[1]:
-                    raise parser.error(
-                        f"expected keyword {instr[1]!r}, found "
-                        f"{token.text!r}",
-                        token,
-                    )
-            elif code == _P_OPERAND:
-                tokens[instr[1]] = parser.expect(
-                    TokenKind.PERCENT_IDENT, instr[2]
-                )
-            elif code == _P_ATTR:
-                attributes[instr[1]] = parser.parse_attribute()
-            elif code == _P_VARTYPE:
-                var_types[instr[1]] = parser.parse_type()
-            else:
-                var_params.setdefault(instr[1], {})[
-                    instr[2]
-                ] = parser.parse_param()
-
-        cctx = ConstraintContext()
-        constraint_vars = op_def.constraint_vars
-        for var in self._var_order:
-            constraint_vars[var].verify(var_types[var], cctx)
-        for var in self._var_param_order:
-            value = self._reconstruct(var, var_params[var], cctx)
-            constraint_vars[var].verify(value, cctx)
-
-        operand_types = [
-            _infer_type(constraint, cctx, name, op_def)
-            for name, constraint in self._operand_infer
-        ]
-        result_types = [
-            _infer_type(constraint, cctx, name, op_def)
-            for name, constraint in self._result_infer
-        ]
-        operands = [
-            parser.resolve_value(token.value, ty, token)
-            for token, ty in zip(tokens, operand_types)
-        ]
-        return parser.context.create_operation(
-            op_def.qualified_name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-        )
-
-    def _parse_interp(self, parser: "IRParser", definition: Any) -> "Operation":
-        """Reference directive interpreter (``--no-codegen`` path)."""
-        from repro.textir.lexer import TokenKind
-
-        op_def = self.op_def
-        operand_tokens: dict[str, "Token"] = {}
+        operand_tokens: list["Token | None"] = [None] * len(op_def.operands)
         attributes: dict[str, Attribute] = {}
         var_types: dict[str, Attribute] = {}
         var_params: dict[str, dict[int, Any]] = {}
@@ -382,14 +220,14 @@ class FormatProgram:
             if isinstance(directive, LiteralDirective):
                 _parse_literal(parser, directive.text)
             elif isinstance(directive, OperandDirective):
-                operand_tokens[directive.name] = parser.expect(
+                operand_tokens[directive.index] = parser.expect(
                     TokenKind.PERCENT_IDENT, f"operand ${directive.name}"
                 )
             elif isinstance(directive, AttributeDirective):
                 attributes[directive.name] = parser.parse_attribute()
             elif isinstance(directive, VarTypeDirective):
                 var_types[directive.var] = parser.parse_type()
-            elif isinstance(directive, VarParamDirective):
+            else:
                 var_params.setdefault(directive.var, {})[
                     directive.param_index
                 ] = parser.parse_param()
@@ -410,10 +248,8 @@ class FormatProgram:
             for arg in op_def.results
         ]
         operands = [
-            parser.resolve_value(
-                operand_tokens[arg.name].value, ty, operand_tokens[arg.name]
-            )
-            for arg, ty in zip(op_def.operands, operand_types)
+            parser.resolve_value(token.value, ty, token)
+            for token, ty in zip(operand_tokens, operand_types)
         ]
         return parser.context.create_operation(
             op_def.qualified_name,
@@ -444,29 +280,7 @@ class FormatProgram:
 
     def print(self, op: "Operation", printer: "Printer") -> None:
         """Print the custom syntax following the operation name."""
-        if self._print_ops is None:
-            self._print_interp(op, printer)
-            return
-        cctx = self._bindings_for(op)
-        bindings = cctx.bindings
-        operands = op.operands
-        for instr in self._print_ops:
-            code = instr[0]
-            if code == _W_TEXT:
-                printer.write(instr[1])
-            elif code == _W_OPERAND:
-                printer.print_operand(operands[instr[1]])
-            elif code == _W_ATTR:
-                printer.print_attribute(op.attributes[instr[1]])
-            elif code == _W_VARTYPE:
-                printer.print_type(bindings[instr[1]])
-            else:
-                printer.print_param(bindings[instr[1]].parameters[instr[2]])
-
-    def _print_interp(self, op: "Operation", printer: "Printer") -> None:
-        """Reference directive interpreter (``--no-codegen`` path)."""
-        cctx = self._bindings_for(op)
-        operand_index = {a.name: i for i, a in enumerate(self.op_def.operands)}
+        bindings = self._bindings_for(op).bindings
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):
                 if directive.text in _TIGHT_LITERALS:
@@ -476,13 +290,13 @@ class FormatProgram:
                 continue
             printer.write(" ")
             if isinstance(directive, OperandDirective):
-                printer.print_operand(op.operands[operand_index[directive.name]])
+                printer.print_operand(op.operands[directive.index])
             elif isinstance(directive, AttributeDirective):
                 printer.print_attribute(op.attributes[directive.name])
             elif isinstance(directive, VarTypeDirective):
-                printer.print_type(cctx.bindings[directive.var])
-            elif isinstance(directive, VarParamDirective):
-                bound = cctx.bindings[directive.var]
+                printer.print_type(bindings[directive.var])
+            else:
+                bound = bindings[directive.var]
                 printer.print_param(bound.parameters[directive.param_index])
 
     def _bindings_for(self, op: "Operation") -> ConstraintContext:
@@ -494,6 +308,10 @@ class FormatProgram:
             arg.constraint.verify(result.type, cctx)
         return cctx
 
+
+# ---------------------------------------------------------------------------
+# Type and attribute parameter formats
+# ---------------------------------------------------------------------------
 
 class TypeFormatProgram:
     """A declarative parameter format for a type or attribute (§4.7).
@@ -511,8 +329,7 @@ class TypeFormatProgram:
         self.parameter_names = parameter_names
         self.directives: list[LiteralDirective | VarParamDirective] = []
         mentioned: list[str] = []
-        for match in _TOKEN_RE.finditer(format_string):
-            text = match.group(0)
+        for text in _format_tokens(qualified_name, format_string):
             if not text.startswith("$"):
                 self.directives.append(LiteralDirective(text))
                 continue
@@ -531,89 +348,19 @@ class TypeFormatProgram:
                 f"{qualified_name}: format must mention every parameter "
                 f"exactly once"
             )
-        self._parse_ops: tuple[tuple, ...] | None = None
-        self._print_ops: tuple[tuple, ...] | None = None
-        from repro.irdl import codegen
-
-        if codegen.enabled():
-            self._precompile()
-            codegen.note_format_compiled()
-
-    def _precompile(self) -> None:
-        """Lower the parameter format into flat parse/print programs."""
-        parse_ops: list[tuple] = []
-        print_ops: list[tuple] = []
-        pending: list[str] = []
-        first = True
-        for directive in self.directives:
-            if isinstance(directive, LiteralDirective):
-                text = directive.text
-                parse_ops.append(_literal_parse_instr(text))
-                pending.append(
-                    text
-                    if text in _TIGHT_LITERALS or first
-                    else f" {text}"
-                )
-            else:
-                parse_ops.append((_P_VARPARAM, directive.param_index))
-                if not first:
-                    pending.append(" ")
-                if pending:
-                    print_ops.append((_W_TEXT, "".join(pending)))
-                    pending.clear()
-                print_ops.append((_W_VARPARAM, directive.param_index))
-            first = False
-        if pending:
-            print_ops.append((_W_TEXT, "".join(pending)))
-        self._parse_ops = tuple(parse_ops)
-        self._print_ops = tuple(print_ops)
 
     def parse(self, parser: "IRParser") -> list[Any]:
         """Parse the parameter list (without the angle brackets)."""
-        if self._parse_ops is None:
-            return self._parse_interp(parser)
-        from repro.textir.lexer import TokenKind
-
         values: list[Any] = [None] * len(self.parameter_names)
-        for instr in self._parse_ops:
-            code = instr[0]
-            if code == _P_PUNCT:
-                parser.expect(instr[1], instr[2])
-            elif code == _P_KEYWORD:
-                token = parser.expect(TokenKind.BARE_IDENT, instr[2])
-                if token.text != instr[1]:
-                    raise parser.error(
-                        f"expected keyword {instr[1]!r}, found "
-                        f"{token.text!r}",
-                        token,
-                    )
-            else:
-                values[instr[1]] = parser.parse_param()
-        return values
-
-    def _parse_interp(self, parser: "IRParser") -> list[Any]:
-        """Reference directive interpreter (``--no-codegen`` path)."""
-        values: dict[int, Any] = {}
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):
                 _parse_literal(parser, directive.text)
             else:
                 values[directive.param_index] = parser.parse_param()
-        return [values[i] for i in range(len(self.parameter_names))]
+        return values
 
     def print(self, parameters, printer: "Printer") -> None:
         """Print the parameter list (without the angle brackets)."""
-        if self._print_ops is None:
-            self._print_interp(parameters, printer)
-            return
-        for instr in self._print_ops:
-            if instr[0] == _W_TEXT:
-                printer.write(instr[1])
-            else:
-                printer.print_param(parameters[instr[1]])
-
-    def _print_interp(self, parameters, printer: "Printer") -> None:
-        """Reference directive interpreter (``--no-codegen`` path)."""
         first = True
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):
@@ -688,8 +435,7 @@ def _scan_directives(op_def: OpDef) -> list[Directive]:
     directives: list[Directive] = []
     operand_index = {a.name: i for i, a in enumerate(op_def.operands)}
     attr_names = {a.name for a in op_def.attributes}
-    for match in _TOKEN_RE.finditer(op_def.format):
-        text = match.group(0)
+    for text in _format_tokens(op_def.qualified_name, op_def.format):
         if not text.startswith("$"):
             directives.append(LiteralDirective(text))
             continue

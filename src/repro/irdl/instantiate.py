@@ -38,11 +38,10 @@ from repro.ir.dialect import (
 from repro.ir.exceptions import UnregisteredConstructError, VerifyError
 from repro.ir.params import ArrayParam, FloatParam, StringParam
 from repro.ir.uniquer import intern as uniquer_intern
-from repro.irdl import ast
+from repro.irdl import ast, codegen
 from repro.irdl.constraints import (
     AnyAttrConstraint,
     ArrayAnyConstraint,
-    ConstraintContext,
     FloatAttrConstraint,
 )
 from repro.irdl.defs import DialectDef, OpDef, TypeDef
@@ -88,37 +87,23 @@ class DynamicAttrDef(AttrDefBinding):
                 raise FormatError(err.message, type_def_ast.span) from None
 
     def attach_type_def(self, type_def: TypeDef) -> None:
-        """Install the resolved definition (and, when codegen is on, a
-        generated parameter verifier specialized to it)."""
-        from repro.irdl import codegen
-
+        """Install the resolved definition and its generated parameter
+        verifier."""
         self.type_def = type_def
-        if codegen.enabled():
-            self._compiled_params, self.generated_param_source = (
-                codegen.compile_param_verifier(type_def))
+        self._compiled_params, self.generated_param_source = (
+            codegen.compile_param_verifier(type_def))
 
     def verify_parameters(self, parameters: tuple[Any, ...]) -> None:
-        if self._compiled_params is not None:
-            self._compiled_params(parameters)
-            if self._py_predicates:
-                self._run_py_predicates(parameters)
-            return
-        if len(parameters) != len(self.parameter_names):
-            raise VerifyError(
-                f"{self.qualified_name} expects {len(self.parameter_names)} "
-                f"parameters, got {len(parameters)}"
-            )
-        if self.type_def is None:
-            return  # still registering; constraints not yet resolved
-        cctx = ConstraintContext()
-        for param_def, value in zip(self.type_def.parameters, parameters):
-            try:
-                param_def.constraint.verify(value, cctx)
-            except VerifyError as err:
+        if self._compiled_params is None:
+            # Still registering: the constraints are not resolved yet.
+            if len(parameters) != len(self.parameter_names):
                 raise VerifyError(
-                    f"{self.qualified_name}: parameter "
-                    f"{param_def.name!r}: {err}"
-                ) from err
+                    f"{self.qualified_name} expects "
+                    f"{len(self.parameter_names)} parameters, got "
+                    f"{len(parameters)}"
+                )
+            return
+        self._compiled_params(parameters)
         if self._py_predicates:
             self._run_py_predicates(parameters)
 
@@ -220,7 +205,7 @@ class DynamicOpDef(OpDefBinding):
 
     def parse_custom(self, parser):
         assert self.format_program is not None
-        return self.format_program.parse(parser, self)
+        return self.format_program.parse(parser)
 
 
 def register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:

@@ -1,11 +1,7 @@
-"""Compiled verification plans: hoist per-verify analysis to compile time.
+"""Verification plans: hoist per-verify analysis to compile time.
 
-``make_op_verifier`` used to hand back a closure that re-derived
-everything on every call: ``match_segments`` re-scanned the definition
-list for variadics, attribute checks re-walked the declaration list, and
-identical ``(constraint, type)`` pairs were re-checked from scratch for
-every operation of the same shape.  This module compiles one
-:class:`VerificationPlan` per :class:`~repro.irdl.defs.OpDef` instead:
+Each :class:`~repro.irdl.defs.OpDef` is analysed once into a
+:class:`VerificationPlan`:
 
 * :class:`SegmentPlan` — the variadic-defs analysis of §4.6 (how many
   variadic definitions, which one, what the fixed count is) is performed
@@ -19,6 +15,13 @@ every operation of the same shape.  This module compiles one
   storage (:mod:`repro.ir.uniquer`) makes identity keys effective: every
   ``i32`` parsed from text is the same object, so the second operation of
   a given shape verifies its types with dictionary hits.
+
+The plan is the input :mod:`repro.irdl.codegen` lowers to a generated
+verifier, and registration installs only that generated function.
+:meth:`VerificationPlan.run` and :func:`verify_parameters` are the
+interpretive references the generated operation and parameter verifiers
+are tested against (``tests/irdl/test_codegen_differential.py``); no
+production path calls them.
 
 Memoization is deliberately conservative:
 
@@ -50,7 +53,7 @@ from repro.obs.instrument import OBS
 if TYPE_CHECKING:
     from repro.ir.operation import Operation
     from repro.ir.value import SSAValue
-    from repro.irdl.defs import ArgDef, OpDef, RegionDef
+    from repro.irdl.defs import ArgDef, OpDef, RegionDef, TypeDef
 
 
 class ConstraintMemo:
@@ -404,14 +407,39 @@ class VerificationPlan:
         run_region_checks(self.region_plans, op, cctx, memo)
 
 
+def verify_parameters(
+    type_def: "TypeDef", parameters: Sequence[Any]
+) -> None:
+    """Check parameters against a type or attribute definition.
+
+    The interpretive reference for the generated parameter verifiers of
+    :func:`repro.irdl.codegen.compile_param_verifier`: same checks, same
+    diagnostics, no memo.
+    """
+    qualified = type_def.qualified_name
+    if len(parameters) != len(type_def.parameters):
+        raise VerifyError(
+            f"{qualified} expects {len(type_def.parameters)} parameters, "
+            f"got {len(parameters)}"
+        )
+    cctx = ConstraintContext()
+    for param_def, value in zip(type_def.parameters, parameters):
+        try:
+            param_def.constraint.verify(value, cctx)
+        except VerifyError as err:
+            raise VerifyError(
+                f"{qualified}: parameter {param_def.name!r}: {err}"
+            ) from err
+
+
 def run_region_checks(
     region_plans: Sequence[_RegionPlan],
     op: "Operation",
     cctx: ConstraintContext,
     memo: ConstraintMemo,
 ) -> None:
-    """Region count + shape checks shared by the interpretive plan and the
-    generated verifiers (:mod:`repro.irdl.codegen`), so both paths raise
+    """Region count + shape checks shared by the reference plan and the
+    generated verifiers (:mod:`repro.irdl.codegen`), so both raise
     byte-identical diagnostics."""
     if len(op.regions) != len(region_plans):
         raise VerifyError(

@@ -42,8 +42,6 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "irdl.verifier.memo_misses": "constraint memo misses",
     "irdl.codegen.definitions_compiled": "definitions lowered to "
     "generated Python verifiers",
-    "irdl.codegen.formats_compiled": "declarative formats precompiled "
-    "to directive programs",
     "irdl.codegen.source_bytes": "generated verifier source bytes",
     "irdl.codegen.code_reused": "definitions whose code object came "
     "from the shared-code cache",

@@ -1,17 +1,15 @@
 """A greedy pattern application driver, in the style of MLIR's.
 
-Two walk strategies share one observable surface:
+:class:`GreedyPatternDriver` partitions the patterns into a
+root-op-indexed :class:`~repro.rewriting.matcher.MatcherTable` of
+``exec``-compiled bucket functions, and after the seeding walk revisits
+only the IR a rewrite could have affected — the inserted ops, the users
+of replaced results, the parents of erased ops, and the defining ops of
+erased ops' operands.
 
-* the **compiled worklist driver** (the default): patterns are
-  partitioned into a root-op-indexed :class:`~repro.rewriting.matcher.
-  MatcherTable` of ``exec``-compiled bucket functions, and after the
-  seeding walk only the IR a rewrite could have affected is revisited —
-  the inserted ops, the users of replaced results, the parents of
-  erased ops, and the defining ops of erased ops' operands;
-* the **interpretive round-based driver** (the reference
-  implementation, behind ``REPRO_NO_COMPILED_MATCH`` / ``irdl-opt
-  --no-compiled-match``): every round re-walks the whole module and
-  offers every op to every pattern.
+:class:`RoundBasedDriver` is the reference it is tested against: every
+round re-walks the whole module and offers every op to every pattern.
+Only tests and the rewrite benchmark construct it.
 
 Both honor the same contracts: benefit-descending pattern order with
 registration-order tie-breaks, the first firing pattern wins an op and
@@ -28,7 +26,6 @@ from typing import Iterable, Sequence
 from repro.ir.context import Context
 from repro.ir.operation import Operation
 from repro.obs.instrument import OBS
-from repro.rewriting import matcher
 from repro.rewriting.matcher import MatcherTable, PatternSlot
 from repro.rewriting.pattern import PatternRewriter, RewritePattern
 
@@ -64,12 +61,10 @@ def _is_stale(op: Operation, root: Operation) -> bool:
 class GreedyPatternDriver:
     """Applies a pattern set to a fixpoint.
 
-    Patterns are sorted by descending benefit.  By default the patterns
-    are compiled into a root-indexed matcher table and the walk is
-    incremental (see the module docstring); with compiled matching
-    disabled, each round walks every operation under the root and
-    offers it to each applicable pattern.  Either way, rounds repeat
-    until no pattern fires or ``max_iterations`` is hit.
+    Patterns are sorted by descending benefit, compiled into a
+    root-indexed matcher table, and applied by an incremental worklist
+    walk (see the module docstring) until no pattern fires or
+    ``max_iterations`` generations have run.
 
     The driver keeps running statistics (match attempts vs. rewrites per
     pattern, rounds to fixpoint) which accumulate across :meth:`run`
@@ -104,7 +99,7 @@ class GreedyPatternDriver:
         self.validations = 0
         self.validation_failures = 0
         #: Ops pushed onto the incremental worklist after rewrites
-        #: (0 under the reference driver, which re-walks instead).
+        #: (0 under :class:`RoundBasedDriver`, which re-walks instead).
         self.worklist_pushes = 0
         #: Per-pattern tallies, keyed by the disambiguated label.
         self.pattern_stats: dict[str, PatternStatistics] = {}
@@ -121,14 +116,11 @@ class GreedyPatternDriver:
             stats = PatternStatistics()
             self.pattern_stats[label] = stats
             self._slots.append(PatternSlot(rewrite_pattern, stats, label))
-        self._compiled = matcher.enabled()
-        self._table: MatcherTable | None = (
-            MatcherTable(self._slots) if self._compiled else None
-        )
+        self._table = MatcherTable(self._slots)
         self._lint_unindexed()
 
     def _lint_unindexed(self) -> None:
-        """Remark on patterns that defeat root indexing (both paths)."""
+        """Remark on patterns that defeat root indexing."""
         remarks = OBS.remarks
         if not remarks.enabled:
             return
@@ -257,18 +249,8 @@ class GreedyPatternDriver:
         """Apply patterns under ``root``; returns True if anything changed."""
         totals = (self.rounds, self.match_attempts, self.rewrites_applied,
                   self.worklist_pushes)
-        any_change = False
         with OBS.tracer.span("rewriting.greedy_driver", category="rewriting"):
-            if self._table is not None:
-                any_change = self._run_worklist(root, self._table)
-            else:
-                for _ in range(self.max_iterations):
-                    self.rounds += 1
-                    rewriter = PatternRewriter(self.context)
-                    self._one_round(root, rewriter)
-                    if not rewriter.changed:
-                        break
-                    any_change = True
+            any_change = self._walk(root)
         if OBS.metrics.enabled:
             # The attributes are lifetime totals; a reused driver adds
             # only this run's share.
@@ -285,9 +267,7 @@ class GreedyPatternDriver:
                 )
         return any_change
 
-    # -- compiled worklist path ----------------------------------------
-
-    def _run_worklist(self, root: Operation, table: MatcherTable) -> bool:
+    def _walk(self, root: Operation) -> bool:
         """Seed with one full walk, then revisit only affected ops.
 
         Work is processed in *generations* (one generation = one pass
@@ -299,8 +279,8 @@ class GreedyPatternDriver:
         remarks = OBS.remarks
         remark_engine = remarks if remarks.enabled else None
         origin = self.remark_origin
-        buckets = table.buckets
-        catchall = table.catchall
+        buckets = self._table.buckets
+        catchall = self._table.catchall
         any_change = False
         worklist: list[Operation] = list(root.walk(include_self=False))
         for _ in range(self.max_iterations):
@@ -386,59 +366,6 @@ class GreedyPatternDriver:
                 break
         return any_change
 
-    # -- interpretive reference path -----------------------------------
-
-    def _one_round(self, root: Operation, rewriter: PatternRewriter) -> None:
-        attempts = 0
-        remarks = OBS.remarks
-        emit_remarks = remarks.enabled
-        for op in list(root.walk(include_self=False)):
-            if _is_stale(op, root):
-                continue  # erased (or inside an op erased) this round
-            # Captured before the match: a fired rewrite erases ``op``.
-            rewriter.root_location = op_location = op.location
-            op_name = op.name
-            for slot in self._slots:
-                rewrite_pattern = slot.pattern
-                if (
-                    rewrite_pattern.op_name is not None
-                    and op.name != rewrite_pattern.op_name
-                ):
-                    continue
-                attempts += 1
-                slot.stats.attempts += 1
-                n_touched = len(rewriter.touched)
-                n_parents = len(rewriter.erased_parents)
-                if rewrite_pattern.match_and_rewrite(op, rewriter):
-                    self.rewrites_applied += 1
-                    slot.stats.applications += 1
-                    if emit_remarks:
-                        remarks.emit(
-                            "applied",
-                            origin=self.remark_origin,
-                            name=slot.label,
-                            op=op_name,
-                            location=op_location,
-                        )
-                    if self.analyses is not None or self.validate_rewrites:
-                        self._after_fire(
-                            root, rewriter, op,
-                            rewriter.touched[n_touched:],
-                            rewriter.erased_parents[n_parents:],
-                            slot.label, op_name,
-                        )
-                    break
-                if emit_remarks and rewrite_pattern.op_name is not None:
-                    remarks.emit(
-                        "missed",
-                        origin=self.remark_origin,
-                        name=slot.label,
-                        op=op_name,
-                        location=op_location,
-                        message="pattern did not match",
-                    )
-        self.match_attempts += attempts
-
     def statistics(self) -> list[tuple[str, int]]:
         """``(label, value)`` statistic rows for ``--pass-statistics``."""
         rows = [
@@ -455,6 +382,75 @@ class GreedyPatternDriver:
             rows.append((f"{label}.match-attempts", stats.attempts))
             rows.append((f"{label}.rewrites", stats.applications))
         return rows
+
+
+class RoundBasedDriver(GreedyPatternDriver):
+    """The round-based re-walk driver: the test oracle for the worklist.
+
+    Each round walks every operation under the root and offers it to
+    each pattern in benefit order by a linear scan of the pattern list;
+    the matcher table goes unused.  Only tests and the rewrite benchmark
+    construct it.
+    """
+
+    def _walk(self, root: Operation) -> bool:
+        any_change = False
+        remarks = OBS.remarks
+        emit_remarks = remarks.enabled
+        for _ in range(self.max_iterations):
+            self.rounds += 1
+            rewriter = PatternRewriter(self.context)
+            attempts = 0
+            for op in list(root.walk(include_self=False)):
+                if _is_stale(op, root):
+                    continue  # erased (or inside an op erased) this round
+                # Captured before the match: a fired rewrite erases ``op``.
+                rewriter.root_location = op_location = op.location
+                op_name = op.name
+                for slot in self._slots:
+                    rewrite_pattern = slot.pattern
+                    if (
+                        rewrite_pattern.op_name is not None
+                        and op.name != rewrite_pattern.op_name
+                    ):
+                        continue
+                    attempts += 1
+                    slot.stats.attempts += 1
+                    n_touched = len(rewriter.touched)
+                    n_parents = len(rewriter.erased_parents)
+                    if rewrite_pattern.match_and_rewrite(op, rewriter):
+                        self.rewrites_applied += 1
+                        slot.stats.applications += 1
+                        if emit_remarks:
+                            remarks.emit(
+                                "applied",
+                                origin=self.remark_origin,
+                                name=slot.label,
+                                op=op_name,
+                                location=op_location,
+                            )
+                        if self.analyses is not None or self.validate_rewrites:
+                            self._after_fire(
+                                root, rewriter, op,
+                                rewriter.touched[n_touched:],
+                                rewriter.erased_parents[n_parents:],
+                                slot.label, op_name,
+                            )
+                        break
+                    if emit_remarks and rewrite_pattern.op_name is not None:
+                        remarks.emit(
+                            "missed",
+                            origin=self.remark_origin,
+                            name=slot.label,
+                            op=op_name,
+                            location=op_location,
+                            message="pattern did not match",
+                        )
+            self.match_attempts += attempts
+            if not rewriter.changed:
+                break
+            any_change = True
+        return any_change
 
 
 def apply_patterns_greedily(

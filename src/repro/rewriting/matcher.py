@@ -26,16 +26,15 @@ verifiers to the *matching* side of rewriting:
   offered to unknown roots), and the ``unindexed-rewrite-pattern`` lint
   flags them.
 
-The interpretive round-based driver remains the reference
-implementation: ``REPRO_NO_COMPILED_MATCH=1`` (or ``irdl-opt
---no-compiled-match``) disables the compiled table and the worklist
-walk, and ``tests/rewriting/test_driver_differential.py`` proves the
-two drivers agree on final IR, statistics, and remark verdicts.
+Every :class:`~repro.rewriting.driver.GreedyPatternDriver` dispatches
+through this table.  The interpretive loop is kept only as the test
+oracle :class:`~repro.rewriting.driver.RoundBasedDriver`, and
+``tests/rewriting/test_driver_differential.py`` proves the two drivers
+agree on final IR, statistics, and remark verdicts.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Sequence
 
 from repro.irdl.codegen import Emitter
@@ -49,13 +48,8 @@ __all__ = [
     "MatcherTable",
     "PatternSlot",
     "STATS",
-    "enabled",
-    "set_enabled",
 ]
 
-
-_ENV_FLAG = "REPRO_NO_COMPILED_MATCH"
-_disabled_by_flag = False
 
 #: Process-lifetime matcher-compiler statistics (mirrored into
 #: ``repro.obs`` as ``rewriting.matcher.*`` whenever metrics are
@@ -67,23 +61,6 @@ STATS = {
     "patterns_unindexed": 0,
     "source_bytes": 0,
 }
-
-
-def enabled() -> bool:
-    """Whether compiled matching (and the worklist driver) is on.
-
-    Consulted at *driver construction* time: flipping the switch
-    affects drivers built afterwards, never already-built tables.
-    """
-    if _disabled_by_flag:
-        return False
-    return os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes", "on")
-
-
-def set_enabled(value: bool) -> None:
-    """Force compiled matching on/off (``irdl-opt --no-compiled-match``)."""
-    global _disabled_by_flag
-    _disabled_by_flag = not value
 
 
 class PatternSlot:

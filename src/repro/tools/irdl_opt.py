@@ -179,21 +179,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "verification with a remark",
     )
     parser.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help="disable definition-time code generation: run the "
-        "interpretive verifier plans and directive-list formats instead "
-        "of the generated specializations (reference path)",
-    )
-    parser.add_argument(
-        "--no-compiled-match",
-        action="store_true",
-        help="disable compiled pattern matching: run the round-based "
-        "re-walk rewrite driver with interpretive pattern dispatch "
-        "instead of the root-indexed matcher table and worklist "
-        "(reference path)",
-    )
-    parser.add_argument(
         "--dump-generated",
         metavar="OP",
         help="print the generated Python verifier source for a "
@@ -607,7 +592,7 @@ def dump_generated(ctx, name: str) -> int:
         source = getattr(verifier, "generated_source", None)
         if source is None:
             print(f"error: no generated verifier for {name!r} "
-                  "(codegen disabled)", file=sys.stderr)
+                  "(not defined in IRDL)", file=sys.stderr)
             return 1
         print(source, end="")
         return 0
@@ -616,7 +601,7 @@ def dump_generated(ctx, name: str) -> int:
         source = getattr(attr_binding, "generated_param_source", None)
         if source is None:
             print(f"error: no generated parameter verifier for {name!r} "
-                  "(codegen disabled)", file=sys.stderr)
+                  "(not defined in IRDL)", file=sys.stderr)
             return 1
         print(source, end="")
         return 0
@@ -626,30 +611,6 @@ def dump_generated(ctx, name: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    # Scope the reference-path switches to this invocation so embedding
-    # callers (tests, notebooks) do not observe globally disabled
-    # compilation afterwards.
-    toggles = []
-    if args.no_codegen:
-        from repro.irdl import codegen
-
-        toggles.append(codegen.set_enabled)
-    if args.no_compiled_match:
-        from repro.rewriting import matcher
-
-        toggles.append(matcher.set_enabled)
-    if not toggles:
-        return _main(args)
-    for toggle in toggles:
-        toggle(False)
-    try:
-        return _main(args)
-    finally:
-        for toggle in toggles:
-            toggle(True)
-
-
-def _main(args: argparse.Namespace) -> int:
     if args.compile_irdl:
         return compile_irdl(args.compile_irdl, args.output)
     if args.dump_dialect:

@@ -1,6 +1,4 @@
-"""Definition-time code generation: gating, emitted shape, soundness."""
-
-import os
+"""Definition-time code generation: emitted shape, soundness."""
 
 import pytest
 
@@ -8,15 +6,7 @@ from repro.builtin import IntegerAttr, StringAttr, default_context, f32, i32
 from repro.ir import Block, VerifyError
 from repro.ir.operation import Operation
 from repro.irdl import codegen, register_irdl
-from repro.irdl.plan import CONSTRAINT_MEMO
-
-# Tests below that inspect generated source (or assert that generation
-# happened at all) cannot pass when the environment itself pins the
-# interpretive path; behavioural coverage runs in both modes.
-requires_codegen = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_CODEGEN", "").lower() in ("1", "true", "yes", "on"),
-    reason="REPRO_NO_CODEGEN pins the interpretive reference path",
-)
+from repro.irdl.plan import CONSTRAINT_MEMO, verify_parameters
 
 SOURCE = """
 Dialect cg {
@@ -49,50 +39,15 @@ def values(*types):
     return list(Block(list(types)).args)
 
 
-class TestGating:
-    @requires_codegen
-    def test_enabled_by_default(self):
-        assert codegen.enabled()
-
-    def test_env_flag_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-        assert not codegen.enabled()
-
-    @requires_codegen
-    def test_set_enabled_round_trips(self):
-        codegen.set_enabled(False)
-        try:
-            assert not codegen.enabled()
-        finally:
-            codegen.set_enabled(True)
-        assert codegen.enabled()
-
-    def test_disabled_registration_has_no_generated_code(self):
-        codegen.set_enabled(False)
-        try:
-            context = default_context()
-            register_irdl(context, SOURCE.replace("cg", "cgoff"))
-        finally:
-            codegen.set_enabled(True)
-        binding = context.get_op_def("cgoff.kernel")
-        assert binding._verifier.compiled is False
-        assert binding._verifier.generated_source is None
-        pair = context.get_type_or_attr_def("cgoff.pair")
-        assert pair.generated_param_source is None
-
-
 class TestGeneratedVerifiers:
-    @requires_codegen
     def test_op_verifier_is_compiled_with_source(self, ctx):
         verifier = ctx.get_op_def("cg.kernel")._verifier
-        assert verifier.compiled is True
         source = verifier.generated_source
         assert "def __irdl_verify(op):" in source
         assert "expects 2 operands" in source
-        # The plan stays attached for introspection either way.
+        # The plan stays attached for introspection.
         assert verifier.plan.operand_checks.plan.n_defs == 2
 
-    @requires_codegen
     def test_eq_constraints_compile_to_identity_tests(self, ctx):
         source = ctx.get_op_def("cg.kernel")._verifier.generated_source
         assert " is _e" in source  # `v is <interned expected>` fast path
@@ -127,7 +82,6 @@ class TestGeneratedVerifiers:
                           result_types=[i32])
             )
 
-    @requires_codegen
     def test_multi_variadic_uses_segment_sizes(self, ctx):
         binding = ctx.get_op_def("cg.multivar")
         source = binding._verifier.generated_source
@@ -151,7 +105,6 @@ class TestGeneratedVerifiers:
 
 
 class TestGeneratedParamVerifiers:
-    @requires_codegen
     def test_param_verifier_compiled(self, ctx):
         pair = ctx.get_type_or_attr_def("cg.pair")
         assert "def __irdl_verify_params(parameters):" in (
@@ -162,14 +115,8 @@ class TestGeneratedParamVerifiers:
         pair = ctx.get_type_or_attr_def("cg.pair")
         with pytest.raises(VerifyError) as compiled_err:
             pair.instantiate((i32,))
-        interpretive = default_context()
-        codegen.set_enabled(False)
-        try:
-            register_irdl(interpretive, SOURCE)
-        finally:
-            codegen.set_enabled(True)
         with pytest.raises(VerifyError) as interp_err:
-            interpretive.get_type_or_attr_def("cg.pair").instantiate((i32,))
+            verify_parameters(pair.type_def, (i32,))
         assert str(compiled_err.value) == str(interp_err.value)
 
     def test_valid_instantiation_interns(self, ctx):
@@ -178,7 +125,6 @@ class TestGeneratedParamVerifiers:
 
 
 class TestStatsAndMetrics:
-    @requires_codegen
     def test_stats_grow_with_registration(self):
         before = dict(codegen.STATS)
         context = default_context()
@@ -188,7 +134,6 @@ class TestStatsAndMetrics:
         )
         assert codegen.STATS["source_bytes"] > before["source_bytes"]
 
-    @requires_codegen
     def test_metrics_counters_when_enabled(self):
         from repro.obs import enable_metrics, reset
 

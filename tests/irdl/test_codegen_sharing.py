@@ -20,11 +20,7 @@ from repro.ir import Block, VerifyError
 from repro.ir.operation import Operation
 from repro.irdl import codegen, parse_irdl, register_dialect, register_irdl
 from repro.irdl.irdl_py import compile_predicate
-
-requires_codegen = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_CODEGEN", "").lower() in ("1", "true", "yes", "on"),
-    reason="REPRO_NO_CODEGEN pins the interpretive reference path",
-)
+from repro.irdl.plan import verify_parameters
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -46,13 +42,9 @@ SECOND = dict(d="shapeb", t="cell", p="height", op="second", x="src",
               y="dst", o="extra", r="res", a="beta")
 
 
-def register(names, context=None, generated=True):
+def register(names, context=None):
     context = context or default_context()
-    codegen.set_enabled(generated)
-    try:
-        register_irdl(context, TEMPLATE.format(**names))
-    finally:
-        codegen.set_enabled(True)
+    register_irdl(context, TEMPLATE.format(**names))
     return context
 
 
@@ -79,22 +71,28 @@ def bad_ops(names):
     ]
 
 
-def diagnostics(context, names):
+def diagnostics(context, names, reference=False):
+    """The diagnostics of :func:`bad_ops` and two bad parameter lists,
+    from the generated verifiers or, with ``reference``, from the
+    interpretive plan and parameter check they were lowered from."""
     messages = []
     binding = context.get_op_def(f"{names['d']}.{names['op']}")
+    verify = binding._verifier.plan.run if reference else binding.verify
     for op in bad_ops(names):
         with pytest.raises(VerifyError) as err:
-            binding.verify(op)
+            verify(op)
         messages.append(str(err.value))
     param_def = context.get_type_or_attr_def(f"{names['d']}.{names['t']}")
     for params in ((f32,), (i32, i32)):
         with pytest.raises(VerifyError) as err:
-            param_def.instantiate(params)
+            if reference:
+                verify_parameters(param_def.type_def, params)
+            else:
+                param_def.instantiate(params)
         messages.append(str(err.value))
     return messages
 
 
-@requires_codegen
 def test_second_definition_of_a_shape_reuses_the_first_ones_code():
     from repro.obs import enable_metrics, reset
 
@@ -116,7 +114,6 @@ def test_second_definition_of_a_shape_reuses_the_first_ones_code():
     assert sources[0] == sources[1]
 
 
-@requires_codegen
 def test_re_registration_reuses_every_definition():
     register(FIRST)
     before = dict(codegen.STATS)
@@ -129,8 +126,9 @@ def test_re_registration_reuses_every_definition():
 
 @pytest.mark.parametrize("names", [FIRST, SECOND])
 def test_diagnostics_name_their_own_definition(names):
-    generated = diagnostics(register(names), names)
-    assert generated == diagnostics(register(names, generated=False), names)
+    context = register(names)
+    generated = diagnostics(context, names)
+    assert generated == diagnostics(context, names, reference=True)
     op = f"{names['d']}.{names['op']}"
     qualified_type = f"{names['d']}.{names['t']}"
     assert generated[0].startswith(f"{op}: operand '{names['y']}': ")
@@ -148,21 +146,15 @@ def test_diagnostics_name_their_own_definition(names):
 def test_names_that_are_not_identifiers_keep_reference_diagnostics():
     # Names are bound constants, never spliced into source, so any
     # string works; the reference path quotes them with repr().
-    def odd_context(generated):
-        decl = parse_irdl(TEMPLATE.format(**FIRST))[0]
-        decl.operations[0].attributes[0].name = "it's odd"
-        decl.operations[0].operands[1].name = "a-b"
-        context = default_context()
-        codegen.set_enabled(generated)
-        try:
-            register_dialect(context, decl)
-        finally:
-            codegen.set_enabled(True)
-        return context
+    decl = parse_irdl(TEMPLATE.format(**FIRST))[0]
+    decl.operations[0].attributes[0].name = "it's odd"
+    decl.operations[0].operands[1].name = "a-b"
+    context = default_context()
+    register_dialect(context, decl)
 
     names = dict(FIRST, a="it's odd", y="a-b")
-    generated = diagnostics(odd_context(True), names)
-    assert generated == diagnostics(odd_context(False), names)
+    generated = diagnostics(context, names)
+    assert generated == diagnostics(context, names, reference=True)
     assert generated[3].endswith('''expects an attribute named "it's odd"''')
 
 
@@ -195,8 +187,7 @@ def test_concurrent_registrations_match_serial_diagnostics():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     # Two definitions per registration; a lost STATS update breaks this.
-    assert codegen.STATS["definitions_compiled"] - compiled_before == (
-        16 if codegen.enabled() else 0)
+    assert codegen.STATS["definitions_compiled"] - compiled_before == 16
     for context in contexts:
         assert diagnostics(context, FIRST) == expected
 
@@ -211,7 +202,6 @@ def test_py_predicates_compile_once_per_text():
     assert [first(n) for n in (2, 7, 8)] == [False, False, True]
 
 
-@requires_codegen
 def test_fresh_process_corpus_reuses_631_of_1034_definitions():
     result = subprocess.run(
         [sys.executable, "-m", "repro.tools.irdl_opt", "--corpus-stats",

@@ -166,6 +166,28 @@ class TestFormatValidation:
             }
             """)
 
+    @pytest.mark.parametrize("fmt, char, offset", [
+        ("$a - $b", "-", 3),
+        ("$a $ $b", "$", 3),
+        ("$a 2 $b", "2", 3),
+        ("$a, $b {", "{", 7),
+        ("$a + $b * x", "+", 3),
+    ], ids=["minus", "dollar", "digit", "brace", "first-of-two"])
+    def test_unsupported_character_rejected(self, fmt, char, offset):
+        with pytest.raises(FormatError) as raised:
+            self.register(f"""
+            Dialect d {{
+              Operation op {{
+                Operands (a: !f32, b: !f32)
+                Format "{fmt}"
+              }}
+            }}
+            """)
+        assert raised.value.message == (
+            f"d.op: format {fmt!r} has an unsupported character {char!r} "
+            f"at offset {offset}"
+        )
+
     def test_eq_constrained_types_need_no_annotation(self):
         ctx = default_context()
         register_irdl(ctx, """
@@ -211,3 +233,79 @@ class TestFormatValidation:
         op = ctx.create_operation("d.move", operands=list(block.args))
         text = print_op(op)
         assert text == "d.move %0 to %1"
+
+
+#: One operation format with every literal class: the tight literals
+#: ``, ) ] >`` print with no space before them, the spaced literals
+#: ``( [ < = -> :`` and keywords print after one space.
+LITERALS = """
+Dialect g {
+  Operation all {
+    Operands (a: !i32, b: !i32, c: !i32)
+    Attributes (tag: string_attr)
+    Format "( $a ) [ $b ] < $c > = $tag -> to , : x"
+  }
+}
+"""
+
+LITERALS_LINE = 'g.all ( %a) [ %b] < %c> = "t" -> to, : x'
+
+LITERALS_MODULE = """\
+"func.func"() ({
+^bb0(%a: i32, %b: i32, %c: i32):
+  LINE
+  "func.return"() : () -> ()
+}) {sym_name = "f", function_type = (i32, i32, i32) -> ()} : () -> ()
+"""
+
+#: ``print(parse(LITERALS_MODULE))``, recorded before the format engine
+#: was reduced to the directive interpreter.
+LITERALS_GOLDEN = """\
+"builtin.module"() ({
+  "func.func"() ({
+    ^bb0(%a: i32, %b: i32, %c: i32):
+      g.all ( %a) [ %b] < %c> = "t" -> to, : x
+      "func.return"() : () -> ()
+  }) {function_type = (i32, i32, i32) -> (), sym_name = "f"} : () -> ()
+}) : () -> ()"""
+
+
+class TestLiteralGoldens:
+    @pytest.fixture
+    def gctx(self):
+        ctx = default_context()
+        register_irdl(ctx, LITERALS)
+        return ctx
+
+    def parse_line(self, ctx, line):
+        return parse_module(ctx, LITERALS_MODULE.replace("LINE", line))
+
+    def test_print_parse_print(self, gctx):
+        once = print_op(self.parse_line(gctx, LITERALS_LINE))
+        assert once == LITERALS_GOLDEN
+        assert print_op(parse_module(gctx, once)) == once
+
+    @pytest.mark.parametrize("line, message", [
+        (
+            'g.all ( %a) [ %b] < %c> = "t" -> too, : x',
+            "<input>:3:36: error: expected keyword 'to', found 'too'\n"
+            '  g.all ( %a) [ %b] < %c> = "t" -> too, : x\n'
+            "                                   ^~~",
+        ),
+        (
+            'g.all ( %a) [ %b] < %c> = "t" -> , : x',
+            "<input>:3:36: error: expected keyword 'to', found ','\n"
+            '  g.all ( %a) [ %b] < %c> = "t" -> , : x\n'
+            "                                   ^",
+        ),
+        (
+            'g.all ( %a] [ %b] < %c> = "t" -> to, : x',
+            "<input>:3:13: error: expected ')', found ']'\n"
+            '  g.all ( %a] [ %b] < %c> = "t" -> to, : x\n'
+            "            ^",
+        ),
+    ], ids=["keyword", "keyword-vs-punctuation", "punctuation"])
+    def test_literal_mismatch_diagnostics(self, gctx, line, message):
+        with pytest.raises(DiagnosticError) as raised:
+            self.parse_line(gctx, line)
+        assert str(raised.value) == message

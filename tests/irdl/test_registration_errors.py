@@ -42,6 +42,21 @@ CASES = {
         "$nosuch attr-dict", "$x", FormatError,
         "t.op: format refers to unknown name $nosuch", 2, 3,
     ),
+    "op Format character": (
+        "Dialect t {{\n  Operation op {{\n"
+        '    Operands (lhs: !i32, rhs: !i32)\n    Format "{}"\n  }}\n}}\n',
+        "$lhs + $rhs", "$lhs, $rhs", FormatError,
+        "t.op: format '$lhs + $rhs' has an unsupported character '+' at "
+        "offset 5", 2, 3,
+    ),
+    "Type Format character": (
+        "Dialect t {{\n  Type ty {{\n"
+        "    Parameters (a: !AnyType, b: !AnyType)\n"
+        '    Format "{}"\n  }}\n}}\n',
+        "$a * $b", "$a x $b", FormatError,
+        "t.ty: format '$a * $b' has an unsupported character '*' at "
+        "offset 3", 2, 3,
+    ),
     "Type PyConstraint": (
         "Dialect t {{\n  Type ty {{\n    Parameters (p: uint32_t)\n"
         '    PyConstraint "{}"\n  }}\n}}\n',

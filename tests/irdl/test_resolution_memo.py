@@ -32,11 +32,6 @@ from tests.irdl.test_codegen_differential import _mutants, _outcome
 
 REPO = Path(__file__).resolve().parents[2]
 
-requires_codegen = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_CODEGEN", "").lower() in ("1", "true", "yes", "on"),
-    reason="REPRO_NO_CODEGEN registers no generated verifiers",
-)
-
 #: ``(findings, sha256 prefix)`` of the CI lint job's JSON report over
 #: the corpus, cmath and the example patterns, paths relative to the repo.
 LINT_REPORT = (28, "91c11b21b1253735")
@@ -224,7 +219,6 @@ def generated_sources(context, defs):
     return sources
 
 
-@requires_codegen
 def test_generated_verifier_source_matches_golden(corpus):
     context, defs, _ = corpus
     sources = generated_sources(context, defs)

@@ -117,3 +117,68 @@ class TestValidation:
               Type t { Parameters (a: uint32_t) Format "$a $a" }
             }
             """)
+
+
+#: Parameter formats over every literal class; ``box`` starts with a
+#: literal, which prints with no space after the ``<``.
+LITERALS = """
+Dialect g {
+  Type box {
+    Parameters (w: uint32_t, h: uint32_t)
+    Format "( $w , $h ) x"
+  }
+  Attribute span {
+    Parameters (n: uint32_t, s: string)
+    Format "[ $n ] < $s > = to"
+  }
+}
+"""
+
+
+class TestLiteralGoldens:
+    """``print(parse(text))`` recorded before the format engine was
+    reduced to the directive interpreter."""
+
+    @pytest.fixture
+    def gctx(self):
+        ctx = default_context()
+        register_irdl(ctx, LITERALS)
+        return ctx
+
+    def test_type_format_starting_with_a_literal(self, gctx):
+        golden = "!g.box<( 2 : uint32_t, 3 : uint32_t) x>"
+        once = print_type(IRParser(gctx, golden).parse_type())
+        assert once == golden
+        assert print_type(IRParser(gctx, once).parse_type()) == once
+
+    def test_attribute_format_with_tight_and_spaced_literals(self, gctx):
+        golden = '#g.span<[ 1 : uint32_t] < "s"> = to>'
+        once = print_attribute(IRParser(gctx, golden).parse_attribute())
+        assert once == golden
+        assert print_attribute(
+            IRParser(gctx, once).parse_attribute()) == once
+
+    @pytest.mark.parametrize("text, message", [
+        (
+            "!g.box<( 2 : uint32_t, 3 : uint32_t) y>",
+            "<input>:1:38: error: expected keyword 'x', found 'y'\n"
+            "!g.box<( 2 : uint32_t, 3 : uint32_t) y>\n"
+            "                                     ^",
+        ),
+        (
+            "!g.box<( 2 : uint32_t, 3 : uint32_t) , >",
+            "<input>:1:38: error: expected keyword 'x', found ','\n"
+            "!g.box<( 2 : uint32_t, 3 : uint32_t) , >\n"
+            "                                     ^",
+        ),
+        (
+            "!g.box<( 2 : uint32_t 3 : uint32_t) x>",
+            "<input>:1:23: error: expected ',', found '3'\n"
+            "!g.box<( 2 : uint32_t 3 : uint32_t) x>\n"
+            "                      ^",
+        ),
+    ], ids=["keyword", "keyword-vs-punctuation", "punctuation"])
+    def test_literal_mismatch_diagnostics(self, gctx, text, message):
+        with pytest.raises(DiagnosticError) as raised:
+            IRParser(gctx, text).parse_type()
+        assert str(raised.value) == message

@@ -2,7 +2,7 @@
 
 The rewriting-engine soundness claim is that the root-indexed compiled
 matcher plus the incremental worklist walk is *behaviorally identical*
-to the round-based re-walk reference (``REPRO_NO_COMPILED_MATCH=1``):
+to the round-based re-walk reference (:class:`RoundBasedDriver`):
 same final IR, same per-pattern application verdicts, same applied
 remark stream, and a missed stream that only ever *omits* re-offers
 the worklist proved unnecessary.  This suite checks that claim on the
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.builtin import IntegerAttr, default_context, i32
 from repro.ir import Block, Region
 from repro.obs import RemarkEngine, install_remarks, reset
-from repro.rewriting import GreedyPatternDriver, matcher, parse_patterns
+from repro.rewriting import GreedyPatternDriver, parse_patterns
+from repro.rewriting.driver import RoundBasedDriver
 from repro.textir import parse_module, print_op
 
 CONORM_PATTERN = """
@@ -66,18 +67,17 @@ def _arith_patterns(ctx=None):
 def _run_both(build_module, build_patterns, max_iterations=64):
     """Run one workload under both drivers; return the two outcomes."""
     outcomes = {}
-    for mode, enabled in (("compiled", True), ("reference", False)):
+    for mode, driver_class in (("compiled", GreedyPatternDriver),
+                               ("reference", RoundBasedDriver)):
         reset()
         engine = install_remarks(RemarkEngine())
-        matcher.set_enabled(enabled)
         try:
             ctx, module = build_module()
-            driver = GreedyPatternDriver(
+            driver = driver_class(
                 ctx, build_patterns(ctx), max_iterations
             )
             changed = driver.run(module)
         finally:
-            matcher.set_enabled(True)
             reset()
         outcomes[mode] = {
             "changed": changed,
@@ -267,17 +267,11 @@ class TestHypothesisDifferential:
         only promised at fixpoint; here both must merely respect
         ``max_iterations`` and never corrupt the module.
         """
-        for enabled in (True, False):
+        for driver_class in (GreedyPatternDriver, RoundBasedDriver):
             reset()
-            matcher.set_enabled(enabled)
-            try:
-                ctx = default_context()
-                module = _build_program(ctx, program)
-                driver = GreedyPatternDriver(
-                    ctx, _arith_patterns(), max_iterations
-                )
-                driver.run(module)
-            finally:
-                matcher.set_enabled(True)
+            ctx = default_context()
+            module = _build_program(ctx, program)
+            driver = driver_class(ctx, _arith_patterns(), max_iterations)
+            driver.run(module)
             assert driver.rounds <= max_iterations
             module.verify()

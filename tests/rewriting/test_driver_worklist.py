@@ -1,9 +1,9 @@
 """The compiled matcher table, the worklist driver, and its satellites.
 
-Everything here runs under *both* walk strategies (the default
-compiled worklist and the ``REPRO_NO_COMPILED_MATCH`` reference
-round-based re-walk) unless it targets one of them specifically: the
-drivers promise the same observable semantics.
+Everything here runs under *both* drivers (the compiled worklist
+:class:`GreedyPatternDriver` and the round-based re-walk reference
+:class:`RoundBasedDriver`) unless it targets one of them specifically:
+the drivers promise the same observable semantics.
 """
 
 import pytest
@@ -22,13 +22,13 @@ from repro.rewriting import (
     pattern,
 )
 from repro.rewriting import matcher
+from repro.rewriting.driver import RoundBasedDriver
 
 
-@pytest.fixture(params=["compiled", "reference"])
-def walk_mode(request, monkeypatch):
-    """Run the test once per driver strategy."""
-    if request.param == "reference":
-        monkeypatch.setenv("REPRO_NO_COMPILED_MATCH", "1")
+@pytest.fixture(params=[GreedyPatternDriver, RoundBasedDriver],
+                ids=["compiled", "reference"])
+def driver_class(request):
+    """Run the test once per driver: the class under test."""
     return request.param
 
 
@@ -54,7 +54,7 @@ def constant(ctx, value):
 class TestStaleNestedOps:
     """Regression: ops inside an erased ancestor must not be offered."""
 
-    def test_nested_ops_of_erased_region_op_are_skipped(self, ctx, walk_mode):
+    def test_nested_ops_of_erased_region_op_are_skipped(self, ctx, driver_class):
         ctx.allow_unregistered = True
         offered = []
 
@@ -76,11 +76,11 @@ class TestStaleNestedOps:
         # The wrapper is visited first (pre-order) and erased; the
         # nested op is detached *transitively* (its own parent link is
         # intact — only the wrapper's is cleared) and must be skipped.
-        apply_patterns_greedily(ctx, module, [erase_wrapper, record_inner])
+        driver_class(ctx, [erase_wrapper, record_inner]).run(module)
         assert offered == []
         assert [op.name for op in module.walk(include_self=False)] == []
 
-    def test_directly_erased_op_still_skipped(self, ctx, walk_mode):
+    def test_directly_erased_op_still_skipped(self, ctx, driver_class):
         offered = []
 
         @pattern(op_name="arith.constant", benefit=5)
@@ -97,7 +97,7 @@ class TestStaleNestedOps:
 
         dead = constant(ctx, 1)
         module = make_module(ctx, [dead])
-        apply_patterns_greedily(ctx, module, [erase_dead, record])
+        driver_class(ctx, [erase_dead, record]).run(module)
         assert dead not in offered
 
 
@@ -117,9 +117,9 @@ class TestLabelCollisions:
             self.log.append(self.value)
             return False
 
-    def test_two_instances_of_one_class(self, ctx, walk_mode):
+    def test_two_instances_of_one_class(self, ctx, driver_class):
         log = []
-        driver = GreedyPatternDriver(
+        driver = driver_class(
             ctx, [self.Marker(1, log), self.Marker(2, log)]
         )
         driver.run(make_module(ctx, [constant(ctx, 1), constant(ctx, 2)]))
@@ -129,7 +129,7 @@ class TestLabelCollisions:
         assert driver.pattern_stats["Marker"].attempts == 2
         assert driver.pattern_stats["Marker#2"].attempts == 2
 
-    def test_two_wrapped_functions_with_one_name(self, ctx, walk_mode):
+    def test_two_wrapped_functions_with_one_name(self, ctx, driver_class):
         def make(tag, log):
             @pattern(op_name="arith.constant")
             def probe(op, rewriter):
@@ -138,7 +138,7 @@ class TestLabelCollisions:
             return probe
 
         log = []
-        driver = GreedyPatternDriver(ctx, [make("a", log), make("b", log)])
+        driver = driver_class(ctx, [make("a", log), make("b", log)])
         driver.run(make_module(ctx, [constant(ctx, 7)]))
         assert set(driver.pattern_stats) == {"probe", "probe#2"}
         assert driver.pattern_stats["probe"].attempts == 1
@@ -151,7 +151,7 @@ class TestLabelCollisions:
 class TestDriverSemantics:
     """Contracts the worklist rewrite must preserve."""
 
-    def test_benefit_descending_order(self, ctx, walk_mode):
+    def test_benefit_descending_order(self, ctx, driver_class):
         fired = []
 
         @pattern(op_name="arith.constant", benefit=1)
@@ -170,10 +170,10 @@ class TestDriverSemantics:
             return False
 
         module = make_module(ctx, [constant(ctx, 1)])
-        apply_patterns_greedily(ctx, module, [low, middle_catchall, high])
+        driver_class(ctx, [low, middle_catchall, high]).run(module)
         assert fired == ["high", "middle", "low"]
 
-    def test_max_iterations_caps_revisits(self, ctx, walk_mode):
+    def test_max_iterations_caps_revisits(self, ctx, driver_class):
         @pattern(op_name="arith.constant")
         def ping(op, rewriter):
             value = op.attributes["value"].value
@@ -187,13 +187,13 @@ class TestDriverSemantics:
         keep = constant(ctx, 0)
         user = ctx.create_operation("func.return", operands=[keep.results[0]])
         module = make_module(ctx, [keep, user])
-        driver = GreedyPatternDriver(ctx, [ping], max_iterations=7)
+        driver = driver_class(ctx, [ping], max_iterations=7)
         driver.run(module)
         module.verify()
         assert driver.rounds == 7
         assert driver.rewrites_applied == 7
 
-    def test_statistics_accumulate_across_runs(self, ctx, walk_mode):
+    def test_statistics_accumulate_across_runs(self, ctx, driver_class):
         @pattern(op_name="arith.constant")
         def drop_dead(op, rewriter):
             if any(r.has_uses for r in op.results):
@@ -201,7 +201,7 @@ class TestDriverSemantics:
             rewriter.erase_op(op)
             return True
 
-        driver = GreedyPatternDriver(ctx, [drop_dead])
+        driver = driver_class(ctx, [drop_dead])
         driver.run(make_module(ctx, [constant(ctx, 1)]))
         first_rounds = driver.rounds
         assert driver.rewrites_applied == 1
@@ -210,7 +210,7 @@ class TestDriverSemantics:
         assert driver.pattern_stats["drop_dead"].applications == 3
         assert driver.rounds > first_rounds
 
-    def test_erased_operand_defs_are_revisited(self, ctx, walk_mode):
+    def test_erased_operand_defs_are_revisited(self, ctx, driver_class):
         """Erasing a user must re-offer the now-dead defining ops."""
         from tests.rewriting.test_rewriting import (
             drop_dead_constants,
@@ -224,7 +224,7 @@ class TestDriverSemantics:
         )
         keep = ctx.create_operation("func.return", operands=[add.results[0]])
         module = make_module(ctx, [a, b, add, keep])
-        driver = GreedyPatternDriver(
+        driver = driver_class(
             ctx, [fold_add_of_constants, drop_dead_constants]
         )
         driver.run(module)
@@ -232,13 +232,9 @@ class TestDriverSemantics:
         names = [op.name for op in module.walk(include_self=False)]
         assert names == ["arith.constant", "func.return"]
 
-    def test_remark_streams_match_reference(self, ctx, monkeypatch):
-        def run(compiled):
+    def test_remark_streams_match_reference(self, ctx):
+        def run(driver_class):
             reset()
-            if not compiled:
-                monkeypatch.setenv("REPRO_NO_COMPILED_MATCH", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_COMPILED_MATCH", raising=False)
             engine = install_remarks(RemarkEngine())
             from tests.rewriting.test_rewriting import (
                 drop_dead_constants,
@@ -253,17 +249,17 @@ class TestDriverSemantics:
                 "func.return", operands=[add.results[0]]
             )
             module = make_module(ctx, [a, b, add, keep])
-            apply_patterns_greedily(
-                ctx, module, [fold_add_of_constants, drop_dead_constants]
-            )
+            driver_class(
+                ctx, [fold_add_of_constants, drop_dead_constants]
+            ).run(module)
             remarks = [
                 (r.kind, r.origin, r.name, r.op) for r in engine.remarks
             ]
             reset()
             return remarks
 
-        compiled = run(compiled=True)
-        reference = run(compiled=False)
+        compiled = run(GreedyPatternDriver)
+        reference = run(RoundBasedDriver)
         applied = [r for r in compiled if r[0] == "applied"]
         assert applied == [r for r in reference if r[0] == "applied"]
         # The worklist driver never re-offers unaffected IR, so its
@@ -276,12 +272,6 @@ class TestDriverSemantics:
 
 class TestMatcherTable:
     """Direct checks of the compiled dispatch structure."""
-
-    @pytest.fixture(autouse=True)
-    def force_compiled(self, monkeypatch):
-        """These tests target the table itself; pin the compiled path
-        even when the suite runs under ``REPRO_NO_COMPILED_MATCH=1``."""
-        monkeypatch.delenv("REPRO_NO_COMPILED_MATCH", raising=False)
 
     def _slots(self, patterns):
         # The driver hands the table benefit-sorted slots; mirror that.
@@ -419,23 +409,23 @@ class TestUnindexedPatternLint:
             [loud], suppress=["unindexed-rewrite-pattern"]
         ) == []
 
-    def test_driver_emits_lint_remark_on_both_paths(self, ctx, walk_mode):
+    def test_driver_emits_lint_remark_on_both_paths(self, ctx, driver_class):
         @pattern()
         def catchall(op, rewriter):
             return False
 
         engine = install_remarks(RemarkEngine())
-        GreedyPatternDriver(ctx, [catchall])
+        driver_class(ctx, [catchall])
         lint = [r for r in engine.remarks if r.kind == "lint"]
         assert len(lint) == 1
         assert lint[0].name == "unindexed-rewrite-pattern"
         assert "catchall" in lint[0].message
 
-    def test_driver_lint_remark_respects_suppression(self, ctx, walk_mode):
+    def test_driver_lint_remark_respects_suppression(self, ctx, driver_class):
         @pattern(suppressions=["unindexed-rewrite-pattern"])
         def quiet(op, rewriter):
             return False
 
         engine = install_remarks(RemarkEngine())
-        GreedyPatternDriver(ctx, [quiet])
+        driver_class(ctx, [quiet])
         assert [r for r in engine.remarks if r.kind == "lint"] == []

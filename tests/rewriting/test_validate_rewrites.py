@@ -16,9 +16,9 @@ from repro.obs import RemarkEngine, install_remarks, reset
 from repro.rewriting import (
     GreedyPatternDriver,
     apply_patterns_greedily,
-    matcher,
     pattern,
 )
+from repro.rewriting.driver import RoundBasedDriver
 
 
 @pytest.fixture(autouse=True)
@@ -130,14 +130,10 @@ class TestMutantsAreCaught:
 
     def test_reference_driver_validates_too(self, ctx):
         module = addi_module(ctx)
-        matcher.set_enabled(False)
-        try:
-            with pytest.raises(VerifyError, match="not dominated"):
-                apply_patterns_greedily(
-                    ctx, module, [sinks_replacement_below_uses],
-                    validate_rewrites=True)
-        finally:
-            matcher.set_enabled(True)
+        driver = RoundBasedDriver(ctx, [sinks_replacement_below_uses],
+                                  validate_rewrites=True)
+        with pytest.raises(VerifyError, match="not dominated"):
+            driver.run(module)
 
     def test_without_flag_corruption_is_silent(self, ctx):
         # The exact hole --validate-rewrites plugs: the same mutant goes

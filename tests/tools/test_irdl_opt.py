@@ -1,19 +1,15 @@
 """The irdl-opt command-line driver."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.corpus import cmath_source, dialect_source_path
-from repro.tools.irdl_opt import main
+from repro.tools.irdl_opt import build_arg_parser, main
 
-# --dump-generated and the scoped-switch assertion need codegen to be
-# available in the first place; REPRO_NO_CODEGEN pins the interpretive
-# reference path for the whole process.
-requires_codegen = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_CODEGEN", "").lower() in ("1", "true", "yes", "on"),
-    reason="REPRO_NO_CODEGEN pins the interpretive reference path",
-)
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 GOOD_IR = """
 "func.func"() ({
@@ -292,16 +288,12 @@ class TestObservabilityFlags:
 
     def test_metrics_catalog_lists_codegen_instruments(self, tmp_path,
                                                        cmath_irdl, capsys):
-        # Even with codegen disabled (nothing recorded), the codegen
-        # instruments must appear in the catalog section.
         exit_code = main([
-            "--irdl", cmath_irdl, "--no-codegen", "--metrics",
-            write_ir(tmp_path, GOOD_IR),
+            "--irdl", cmath_irdl, "--metrics", write_ir(tmp_path, GOOD_IR),
         ])
         assert exit_code == 0
         err = capsys.readouterr().err
         assert "irdl.codegen.definitions_compiled" in err
-        assert "irdl.codegen.formats_compiled" in err
         assert "irdl.codegen.source_bytes" in err
         assert "irdl.codegen.code_reused" in err
 
@@ -345,39 +337,6 @@ class TestObservabilityFlags:
 
 
 class TestCodegenFlags:
-    def test_no_codegen_still_verifies_and_prints(self, tmp_path, cmath_irdl,
-                                                  capsys):
-        exit_code = main([
-            "--irdl", cmath_irdl, "--no-codegen",
-            write_ir(tmp_path, GOOD_IR),
-        ])
-        assert exit_code == 0
-        assert "cmath.norm %p : f32" in capsys.readouterr().out
-
-    def test_no_codegen_rejects_bad_ir_identically(self, tmp_path,
-                                                   cmath_irdl, capsys):
-        exit_code = main([
-            "--irdl", cmath_irdl, write_ir(tmp_path, BAD_IR),
-        ])
-        assert exit_code == 1
-        with_codegen = capsys.readouterr().err
-        exit_code = main([
-            "--irdl", cmath_irdl, "--no-codegen",
-            write_ir(tmp_path, BAD_IR),
-        ])
-        assert exit_code == 1
-        assert capsys.readouterr().err == with_codegen
-
-    @requires_codegen
-    def test_no_codegen_switch_is_scoped_to_the_invocation(self, tmp_path,
-                                                           cmath_irdl):
-        from repro.irdl import codegen
-
-        main(["--irdl", cmath_irdl, "--no-codegen",
-              write_ir(tmp_path, GOOD_IR)])
-        assert codegen.enabled()
-
-    @requires_codegen
     def test_dump_generated_op(self, tmp_path, cmath_irdl, capsys):
         exit_code = main([
             "--irdl", cmath_irdl, "--dump-generated", "cmath.mul",
@@ -387,7 +346,6 @@ class TestCodegenFlags:
         assert "generated from IRDL definition cmath.mul" in out
         assert "def __irdl_verify(op):" in out
 
-    @requires_codegen
     def test_dump_generated_type(self, tmp_path, cmath_irdl, capsys):
         exit_code = main([
             "--irdl", cmath_irdl, "--dump-generated", "cmath.complex",
@@ -404,11 +362,10 @@ class TestCodegenFlags:
         assert exit_code == 1
         assert "unknown operation or type" in capsys.readouterr().err
 
-    def test_dump_generated_with_no_codegen_reports_absence(
+    def test_dump_generated_native_op_reports_absence(
             self, tmp_path, cmath_irdl, capsys):
         exit_code = main([
-            "--irdl", cmath_irdl, "--no-codegen",
-            "--dump-generated", "cmath.mul",
+            "--irdl", cmath_irdl, "--dump-generated", "arith.addi",
         ])
         assert exit_code == 1
         assert "no generated verifier" in capsys.readouterr().err
@@ -624,59 +581,6 @@ class TestCompileIrdl:
         assert exit_code == 1
 
 
-class TestCompiledMatchFlags:
-    """``--no-compiled-match`` selects the reference rewrite driver."""
-
-    def write_pattern(self, tmp_path):
-        pattern_file = tmp_path / "conorm.pattern"
-        pattern_file.write_text(PATTERN)
-        return str(pattern_file)
-
-    def test_no_compiled_match_rewrites_identically(self, tmp_path,
-                                                    cmath_irdl, capsys):
-        exit_code = main([
-            "--irdl", cmath_irdl, "--patterns", self.write_pattern(tmp_path),
-            write_ir(tmp_path, CONORM),
-        ])
-        assert exit_code == 0
-        compiled_out = capsys.readouterr().out
-        assert "cmath.mul" in compiled_out
-        exit_code = main([
-            "--irdl", cmath_irdl, "--patterns", self.write_pattern(tmp_path),
-            "--no-compiled-match", write_ir(tmp_path, CONORM),
-        ])
-        assert exit_code == 0
-        assert capsys.readouterr().out == compiled_out
-
-    def test_no_compiled_match_pass_statistics_identical(self, tmp_path,
-                                                         cmath_irdl, capsys):
-        def statistics_rows(extra):
-            exit_code = main([
-                "--irdl", cmath_irdl, "--patterns",
-                self.write_pattern(tmp_path), "--pass-statistics",
-                *extra, write_ir(tmp_path, CONORM),
-            ])
-            assert exit_code == 0
-            err = capsys.readouterr().err
-            assert "norm_of_product.rewrites" in err
-            return [
-                line.strip() for line in err.splitlines()
-                if "norm_of_product" in line or "pattern-" in line
-            ]
-
-        assert statistics_rows([]) == statistics_rows(["--no-compiled-match"])
-
-    def test_no_compiled_match_switch_is_scoped_to_the_invocation(
-            self, tmp_path, cmath_irdl):
-        from repro.rewriting import matcher
-
-        main([
-            "--irdl", cmath_irdl, "--patterns", self.write_pattern(tmp_path),
-            "--no-compiled-match", write_ir(tmp_path, CONORM),
-        ])
-        assert not matcher._disabled_by_flag
-
-
 class FakeStdin:
     """A ``sys.stdin`` stand-in exposing a binary ``buffer``."""
 
@@ -862,3 +766,21 @@ class TestSoundnessLintCli:
         exit_code = main(["--lint", cmath_irdl, "--patterns", shipped])
         assert exit_code == 0
         assert "no findings" in capsys.readouterr().out
+
+
+class TestReadmeReference:
+    """README's ``## CLI reference`` block is ``irdl-opt --help``."""
+
+    def test_block_names_exactly_the_parser_options(self):
+        # Sets of option strings, not argparse's wrapped layout, which
+        # differs between Python versions.
+        section = README.read_text(encoding="utf-8").split(
+            "## CLI reference", 1)[1]
+        block = section.split("```", 2)[1]
+        named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", block))
+        defined = {
+            option
+            for action in build_arg_parser()._actions
+            for option in action.option_strings
+        }
+        assert named == defined
