@@ -7,6 +7,7 @@ from typing import Iterable, Mapping
 from repro.ir.attributes import Attribute, Data, ParametrizedAttribute, TypeAttribute
 from repro.ir.exceptions import VerifyError
 from repro.builtin.types import FloatType, IndexType, IntegerType, f32, f64, i64
+from repro.utils.quoting import quote
 
 
 class StringAttr(Data):
@@ -19,8 +20,7 @@ class StringAttr(Data):
             raise VerifyError(f"string attribute holds {type(self.data).__name__}")
 
     def __str__(self) -> str:
-        escaped = self.data.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return quote(self.data)
 
 
 class IntegerAttr(ParametrizedAttribute):

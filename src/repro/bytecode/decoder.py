@@ -200,13 +200,21 @@ class _AttrTable:
     """Decodes the attribute pool in one forward pass.
 
     References inside an entry are bounded by the number of entries
-    decoded *before* it, so the pool is acyclic by construction.
+    decoded *before* it, so the pool is acyclic by construction.  Each
+    entry's depth is 1 plus that of its deepest reference; an entry
+    deeper than ``MAX_NESTING`` is refused, as the textual parser
+    refuses such a value, before anything recurses over it.
     """
 
-    __slots__ = ("entries", "context", "attrs", "types")
+    __slots__ = ("entries", "depths", "deepest", "context", "attrs",
+                 "types")
 
     def __init__(self, context: Context):
         self.entries: list[Attribute | ParamValue] = []
+        #: Per entry: its nesting depth.
+        self.depths: list[int] = []
+        #: The deepest entry referenced by the entry being read.
+        self.deepest = 0
         self.context = context
         #: Per entry: the attribute, or None for a bare parameter value.
         self.attrs: list[Attribute | None] = []
@@ -215,6 +223,9 @@ class _AttrTable:
 
     def get(self, reader: Reader) -> Attribute | ParamValue:
         index = reader.bounded_varint(len(self.entries), "attribute reference")
+        depth = self.depths[index]
+        if depth > self.deepest:
+            self.deepest = depth
         return self.entries[index]
 
     def get_attr(self, reader: Reader) -> Attribute:
@@ -256,7 +267,14 @@ class _AttrTable:
         self, reader: Reader, strings: _StringTable
     ) -> Attribute | ParamValue:
         tag = reader.varint()
+        self.deepest = 0
         value = self._build(tag, reader, strings)
+        depth = self.deepest + 1
+        if depth > MAX_NESTING:
+            raise reader.error(
+                f"attributes nest deeper than the limit of {MAX_NESTING}"
+            )
+        self.depths.append(depth)
         if isinstance(value, Attribute):
             value.verify()
             return self.context.intern(value)

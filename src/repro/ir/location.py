@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.utils.quoting import quote
+
 if TYPE_CHECKING:
     from repro.utils.source import Span
 
@@ -121,7 +123,7 @@ class FileLineColLoc(Location):
         return hash((FileLineColLoc, self.filename, self.line, self.col))
 
     def __str__(self) -> str:
-        return f'"{self.filename}":{self.line}:{self.col}'
+        return f"{quote(self.filename)}:{self.line}:{self.col}"
 
     def __repr__(self) -> str:
         return f"FileLineColLoc({self.filename!r}, {self.line}, {self.col})"

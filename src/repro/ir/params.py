@@ -18,6 +18,8 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
+from repro.utils.quoting import quote
+
 # An attribute (including a type) may itself be used as a parameter, so the
 # full parameter domain is ``Attribute | ParamValue``.  We import lazily to
 # avoid a cycle with repro.ir.attributes.
@@ -115,7 +117,7 @@ class StringParam(ParamValue):
     kind = "string"
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        return quote(self.value)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class LocationParam(ParamValue):
     kind = "location"
 
     def __str__(self) -> str:
-        return f'loc("{self.filename}":{self.line}:{self.column})'
+        return f"loc({quote(self.filename)}:{self.line}:{self.column})"
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ class OpaqueParam(ParamValue):
     kind = "opaque"
 
     def __str__(self) -> str:
-        return f'opaque<"{self.class_name}", "{self.value}">'
+        return f"opaque<{quote(self.class_name)}, {quote(str(self.value))}>"
 
 
 def param_kind(value: object) -> str:

@@ -24,6 +24,15 @@ if TYPE_CHECKING:
 #: printing and ``Operation.verify`` recurse once per level; at this
 #: depth all four run from a test's stack at Python's default recursion
 #: limit (1,000).
+#:
+#: The same number bounds how deeply attribute, type and parameter
+#: values nest, where a value is 1 deeper than its deepest part (an
+#: array than its elements, a function type than its inputs and
+#: results, ``1 : i32`` than ``i32``).  The textual parser reports the
+#: opening bracket of a value past the limit, and the IRBC decoder
+#: refuses an attribute-pool entry past it, before printing or
+#: encoding recurses over the value.  Values built through the API are
+#: not checked.
 MAX_NESTING = 128
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 
 from repro.irdl import ast
+from repro.utils.quoting import quote
 
 
 class IRDLPrinter:
@@ -35,7 +36,7 @@ class IRDLPrinter:
         self._line(f"Dialect {decl.name} {{")
         self._indent += 1
         for code in decl.suppressions:
-            self._line(f'Suppress "{_escape(code)}"')
+            self._line(f"Suppress {quote(code)}")
         for enum in decl.enums:
             self.print_enum(enum)
         for alias in decl.aliases:
@@ -67,13 +68,13 @@ class IRDLPrinter:
         self._line(f"TypeOrAttrParam {decl.name} {{")
         self._indent += 1
         if decl.summary:
-            self._line(f'Summary "{decl.summary}"')
+            self._line(f"Summary {quote(decl.summary)}")
         if decl.py_class_name:
-            self._line(f'PyClassName "{decl.py_class_name}"')
+            self._line(f"PyClassName {quote(decl.py_class_name)}")
         if decl.py_parser:
-            self._line(f'PyParser "{decl.py_parser}"')
+            self._line(f"PyParser {quote(decl.py_parser)}")
         if decl.py_printer:
-            self._line(f'PyPrinter "{decl.py_printer}"')
+            self._line(f"PyPrinter {quote(decl.py_printer)}")
         self._indent -= 1
         self._line("}")
 
@@ -82,9 +83,9 @@ class IRDLPrinter:
         self._line(f"Constraint {decl.name} : {base} {{")
         self._indent += 1
         if decl.summary:
-            self._line(f'Summary "{decl.summary}"')
+            self._line(f"Summary {quote(decl.summary)}")
         if decl.py_constraint is not None:
-            self._line(f'PyConstraint "{_escape(decl.py_constraint)}"')
+            self._line(f"PyConstraint {quote(decl.py_constraint)}")
         self._indent -= 1
         self._line("}")
 
@@ -99,13 +100,13 @@ class IRDLPrinter:
             )
             self._line(f"Parameters ({inner})")
         if decl.format is not None:
-            self._line(f'Format "{_escape(decl.format)}"')
+            self._line(f"Format {quote(decl.format)}")
         if decl.summary:
-            self._line(f'Summary "{decl.summary}"')
+            self._line(f"Summary {quote(decl.summary)}")
         for code in decl.py_constraints:
-            self._line(f'PyConstraint "{_escape(code)}"')
+            self._line(f"PyConstraint {quote(code)}")
         for code in decl.suppressions:
-            self._line(f'Suppress "{_escape(code)}"')
+            self._line(f"Suppress {quote(code)}")
         self._indent -= 1
         self._line("}")
 
@@ -131,13 +132,13 @@ class IRDLPrinter:
         if decl.successors is not None:
             self._line(f"Successors ({', '.join(decl.successors)})")
         if decl.format is not None:
-            self._line(f'Format "{_escape(decl.format)}"')
+            self._line(f"Format {quote(decl.format)}")
         if decl.summary:
-            self._line(f'Summary "{decl.summary}"')
+            self._line(f"Summary {quote(decl.summary)}")
         for code in decl.py_constraints:
-            self._line(f'PyConstraint "{_escape(code)}"')
+            self._line(f"PyConstraint {quote(code)}")
         for code in decl.suppressions:
-            self._line(f'Suppress "{_escape(code)}"')
+            self._line(f"Suppress {quote(code)}")
         self._indent -= 1
         self._line("}")
 
@@ -168,7 +169,7 @@ class IRDLPrinter:
                 return f"{expr.value} : {expr.type_name}"
             return str(expr.value)
         if isinstance(expr, ast.StringLiteralExpr):
-            return f'"{_escape(expr.value)}"'
+            return quote(expr.value)
         if isinstance(expr, ast.ListExpr):
             inner = ", ".join(self.constraint_text(e) for e in expr.elements)
             return f"[{inner}]"
@@ -179,10 +180,6 @@ class IRDLPrinter:
                 text += f"<{inner}>"
             return text
         raise TypeError(f"unknown constraint expression {expr!r}")
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def print_dialect(decl: ast.DialectDecl) -> str:

@@ -38,6 +38,7 @@ from itertools import repeat
 from typing import Iterator
 
 from repro.utils.diagnostics import DiagnosticError
+from repro.utils.quoting import unescape
 from repro.utils.source import SourceFile, Span
 
 
@@ -126,7 +127,7 @@ class Token:
         if self.kind in _SIGIL_KINDS:
             return self.text[1:]
         if self.kind is TokenKind.STRING:
-            return _unescape(self.text[1:-1])
+            return unescape(self.text[1:-1])
         return self.text
 
     def __repr__(self) -> str:
@@ -145,17 +146,6 @@ class LexError:
 
     def __init__(self, error: DiagnosticError):
         self.error = error
-
-
-def _unescape(text: str) -> str:
-    if "\\" not in text:
-        return text
-    return (
-        text.replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace('\\"', '"')
-        .replace("\\\\", "\\")
-    )
 
 
 # The master token regex.  Alternative order is load-bearing:
@@ -336,8 +326,9 @@ class TokenCursor:
         """Drop the held tokens and continue the stream at ``offset``.
 
         The caller vouches that ``offset`` is where a token (or trivia)
-        starts: the IR parser seeks past a spelling it has already
-        converted (see ``IRParser._spelled``).
+        starts: the IR parser seeks past a generic op it has matched as
+        a whole, or to a spelling inside it that it converts token by
+        token (see ``IRParser.parse_operation``).
         """
         self._pull = self.lexer.tokens(offset).__next__
         self._token = self._pull()

@@ -60,18 +60,34 @@ _PARAM_INT_RE = re.compile(r"^(u?)int(8|16|32|64)_t$")
 # lexer splits it into INTEGER "0" followed by this BARE_IDENT (the same
 # mechanism shaped types like ``tensor<4x?xf32>`` rely on).
 _HEX_FLOAT_BITS_RE = re.compile(r"^x[0-9A-Fa-f]{1,16}$")
+_NUMBER_KINDS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS)
 
-# The spelling of a generic op's attribute dictionary and of its
-# signature, matched at the offset of the current ``{`` or ``:`` token
-# (``IRParser._spelled``).  Neither may hold the bracket that closes it
-# (so nothing nested closes it early), a quote (a string could hold that
-# bracket), a ``/`` (so could a comment) or a newline.  So the token
-# parse of a matched spelling, when it succeeds, ends exactly where the
-# match ends.
-_ATTR_DICT_RE = re.compile(r'\{[^{}"/\n]*\}')
-_SIGNATURE_RE = re.compile(
-    r':[ \t]*\([^()"/\n]*\)[ \t]*->[ \t]*\([^()"/\n]*\)'
+# A generic op on one line, in the form the printer writes:
+#
+#     %a, %b = "d.op"(%x, %y) {...} : (...) -> (...)
+#
+# matched at the offset of its first token (``IRParser.parse_operation``).
+# Result names, operands and the attribute dictionary are optional, and
+# spaces and tabs may separate the tokens.  The quoted op name holds no
+# backslash, so its text between the quotes is its value.  The
+# dictionary and the two type lists may not hold the bracket that closes
+# them (so nothing nested closes them early), a quote (a string could
+# hold that bracket), a ``/`` (so could a comment) or a newline.  So the
+# token parse of the ``attrs`` or ``signature`` group, when it succeeds,
+# ends exactly where the group ends.  Anything else (regions,
+# successors, custom formats, escaped names, comments or line breaks
+# inside the op, the bare ``-> f32`` result form) does not match and is
+# parsed token by token; so is a trailing ``loc(...)``.
+_GENERIC_OP_RE = re.compile(
+    r'(?:(?P<results>%[\w$.]+(?:[ \t]*,[ \t]*%[\w$.]+)*)[ \t]*=[ \t]*)?'
+    r'(?P<name>"[^"\\\n]*")[ \t]*'
+    r'\([ \t]*(?P<operands>%[\w$.]+(?:[ \t]*,[ \t]*%[\w$.]+)*)?[ \t]*\)'
+    r'(?:[ \t]*(?P<attrs>\{[^{}"/\n]*\}))?'
+    r'[ \t]*(?P<signature>:[ \t]*\([^()"/\n]*\)[ \t]*->[ \t]*\([^()"/\n]*\))'
 )
+# One SSA name in the ``results`` or ``operands`` group; group 1 is the
+# name without its ``%``.
+_VALUE_NAME_RE = re.compile(r"%([\w$.]+)")
 
 #: Entries each per-parse spelling cache takes; later spellings still
 #: parse, uncached.  The size of ``codegen.shared_code``.
@@ -109,11 +125,14 @@ class IRParser(TokenCursor):
         # never memoized.
         self._builtin_types: dict[str, Attribute] = {}
         # Generic ops' signatures and attribute dictionaries by spelling,
-        # converted once per parse (``_spelled``).
+        # converted once per parse (``_convert``).
         self._signatures: dict[
             str, tuple[tuple[Attribute, ...], tuple[Attribute, ...]]
         ] = {}
         self._attr_dicts: dict[str, Attribute] = {}
+        # Attribute, type and parameter values open around the one being
+        # parsed (``_nested``).
+        self._nesting = 0
         # Regions the op tree has around the ops being parsed at the top
         # level (``parse_module``), and the deepest level reached so far.
         self._outer_levels = 0
@@ -128,35 +147,60 @@ class IRParser(TokenCursor):
     def resolve_value(self, name: str, value_type: Attribute,
                       token: Token | None = None) -> SSAValue:
         """Resolve an operand reference, creating a placeholder if needed."""
+        value = self._resolve(name, value_type)
+        if value.type != value_type:
+            raise self.error(self._mismatch(name, value, value_type), token)
+        return value
+
+    def _resolve(self, name: str, value_type: Attribute) -> SSAValue:
+        """The value ``name`` refers to, whatever its type, or a new
+        placeholder of ``value_type``."""
         for scope in reversed(self._value_scopes):
             existing = scope.get(name)
             if existing is not None:
-                if existing.type != value_type:
-                    raise self.error(
-                        f"operand %{name} has type {existing.type} but is "
-                        f"used with type {value_type}",
-                        token,
-                    )
                 return existing
         placeholder = _PlaceholderValue(value_type, name)
         self._pending_scopes[-1].setdefault(name, []).append(placeholder)
         return placeholder
 
+    # The diagnostics both ways of reading a generic op report.
+
+    @staticmethod
+    def _mismatch(name: str, value: SSAValue, value_type: Attribute) -> str:
+        return (f"operand %{name} has type {value.type} but is used with "
+                f"type {value_type}")
+
+    @staticmethod
+    def _operand_count(operands: int, types: int) -> str:
+        return f"operation has {operands} operands but {types} operand types"
+
+    @staticmethod
+    def _result_count(op: Operation, names: int) -> str:
+        return (f"operation {op.name} produced {len(op.results)} results "
+                f"but {names} names were bound")
+
     def define_value(self, name: str, value: SSAValue,
                      token: Token | None = None) -> None:
+        problem = self._bind(name, value)
+        if problem is not None:
+            raise self.error(problem, token)
+
+    def _bind(self, name: str, value: SSAValue) -> str | None:
+        """Define ``name`` as ``value``; the diagnostic if it cannot be."""
         scope = self._value_scopes[-1]
         if name in scope:
-            raise self.error(f"SSA value %{name} is defined twice", token)
+            return f"SSA value %{name} is defined twice"
         value.name_hint = name
         scope[name] = value
-        for placeholder in self._pending_scopes[-1].pop(name, []):
-            if placeholder.type != value.type:
-                raise self.error(
-                    f"%{name} was forward-referenced with type "
-                    f"{placeholder.type} but is defined with type {value.type}",
-                    token,
-                )
-            placeholder.replace_all_uses_with(value)
+        pending = self._pending_scopes[-1]
+        if pending:
+            for placeholder in pending.pop(name, ()):
+                if placeholder.type != value.type:
+                    return (f"%{name} was forward-referenced with type "
+                            f"{placeholder.type} but is defined with type "
+                            f"{value.type}")
+                placeholder.replace_all_uses_with(value)
+        return None
 
     def _push_value_scope(self) -> None:
         self._value_scopes.append({})
@@ -179,6 +223,9 @@ class IRParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_type(self) -> Attribute:
+        return self._nested(self._type)
+
+    def _type(self) -> Attribute:
         token = self.peek()
         if token.kind is TokenKind.BANG_IDENT:
             return self._parse_dialect_type(self.next())
@@ -187,6 +234,36 @@ class IRParser(TokenCursor):
         if token.kind is TokenKind.BARE_IDENT:
             return self._parse_builtin_type(self.next())
         raise self.error(f"expected a type, found {token.text!r}", token)
+
+    def _nested(self, parse: Callable[[], Any]) -> Any:
+        """``parse()`` of a value one level deeper in the attributes and
+        types around it, reported at the current token (the opening
+        bracket of an array, dictionary, function or shaped type) when
+        that passes ``MAX_NESTING``.
+
+        Levels count the values the IRBC decoder counts, so text within
+        the limit decodes within it: a number takes two levels, since it
+        holds a type; a type or attribute parsed in parameter position,
+        or a type in attribute position, takes its own level only.
+        """
+        token = self.peek()
+        depth = self._nesting
+        levels = depth + 1 + (
+            token.kind in _NUMBER_KINDS
+            or (token.kind is TokenKind.BARE_IDENT
+                and token.text in ("true", "false"))
+        )
+        if levels > MAX_NESTING:
+            raise self.error(
+                "attributes and types nest deeper than the limit of "
+                f"{MAX_NESTING}",
+                token,
+            )
+        self._nesting = levels
+        try:
+            return parse()
+        finally:
+            self._nesting = depth
 
     def try_parse_type(self) -> Attribute | None:
         token = self.peek()
@@ -232,7 +309,14 @@ class IRParser(TokenCursor):
         raise self.error(f"unknown builtin type {name!r}", token)
 
     def _parse_shaped_type(self, kind: str, token: Token) -> Attribute:
-        """Parse ``tensor<4x?xf32>``-style shaped types.
+        """Parse ``tensor<4x?xf32>``-style shaped types."""
+        shape, element = self._nested(self._parse_shape)
+        cls = {"tensor": btypes.TensorType, "vector": btypes.VectorType,
+               "memref": btypes.MemRefType}[kind]
+        return cls.get(shape, element)
+
+    def _parse_shape(self) -> tuple[list[int], Attribute]:
+        """A shaped type's ``<4x?xf32>``: its dimensions and element type.
 
         The lexer fuses dimension lists with the following identifier
         (``4x?xf32`` lexes as INTEGER "4" then BARE "x?xf32"), so dimension
@@ -253,16 +337,14 @@ class IRParser(TokenCursor):
                 self.next()
                 element = self._scan_shape_word(tok, shape)
             elif tok.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
-                element = self.parse_type()
+                element = self._type()
             else:
                 raise self.error(
                     f"expected a dimension or element type, found {tok.text!r}",
                     tok,
                 )
         self.expect(TokenKind.GREATER, "'>'")
-        cls = {"tensor": btypes.TensorType, "vector": btypes.VectorType,
-               "memref": btypes.MemRefType}[kind]
-        return cls.get(shape, element)
+        return shape, element
 
     def _scan_shape_word(self, token: Token, shape: list[int]) -> Attribute | None:
         """Consume a word like ``x4x?xf32``: dimensions and maybe the element.
@@ -358,6 +440,9 @@ class IRParser(TokenCursor):
 
     def parse_param(self) -> Any:
         """Parse one parameter of a parametrized type or attribute."""
+        return self._nested(self._param)
+
+    def _param(self) -> Any:
         token = self.peek()
         if token.kind in (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS):
             return self._parse_numeric_param()
@@ -374,7 +459,7 @@ class IRParser(TokenCursor):
             return ArrayParam(tuple(elements))
         if token.kind in (TokenKind.HASH_IDENT, TokenKind.AT_IDENT, TokenKind.LBRACE):
             # Only attributes are spelled this way.
-            return self.parse_attribute()
+            return self._attribute()
         if token.kind is TokenKind.BARE_IDENT:
             if token.text == "loc":
                 return self._parse_location_param()
@@ -385,12 +470,12 @@ class IRParser(TokenCursor):
             if self.peek(1).kind is TokenKind.DOT:
                 return self._parse_enum_param()
             if self._is_builtin_type_name(token.text):
-                return self.parse_type()
+                return self._type()
             if token.text == "unit":
-                return self.parse_attribute()
+                return self._attribute()
             raise self.error(f"unknown parameter {token.text!r}", token)
         if token.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
-            return self.parse_type()
+            return self._type()
         raise self.error(f"expected a parameter, found {token.text!r}", token)
 
     def _accept_hex_float(self, int_token: Token, negative: bool) -> float | None:
@@ -467,7 +552,7 @@ class IRParser(TokenCursor):
                 # ``42 : i64``: a typed integer attribute, printed as such
                 # when it is an element of an attribute-array parameter.
                 self.next()  # ':'
-                return battrs.IntegerAttr.get(value, self.parse_type())
+                return battrs.IntegerAttr.get(value, self._type())
         return IntegerParam(value, bitwidth, signed)
 
     def _parse_enum_param(self) -> EnumParam:
@@ -537,6 +622,9 @@ class IRParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
+        return self._nested(self._attribute)
+
+    def _attribute(self) -> Attribute:
         token = self.peek()
         if token.kind is TokenKind.STRING:
             return battrs.StringAttr.get(self.next().value)
@@ -570,9 +658,9 @@ class IRParser(TokenCursor):
             if self._is_builtin_type_name(token.text):
                 # Types are attributes; a bare type in attribute position
                 # denotes itself.
-                return self.parse_type()
+                return self._type()
         if token.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
-            return self.parse_type()
+            return self._type()
         raise self.error(f"expected an attribute, found {token.text!r}", token)
 
     def _parse_numeric_attribute(self) -> Attribute:
@@ -582,7 +670,7 @@ class IRParser(TokenCursor):
             value = -float(token.text) if negative else float(token.text)
             attr_type: Attribute = btypes.f64
             if self.accept(TokenKind.COLON):
-                attr_type = self.parse_type()
+                attr_type = self._type()
             return battrs.FloatAttr.get(value, attr_type)
         if token.kind is not TokenKind.INTEGER:
             raise self.error("expected a number", token)
@@ -590,11 +678,11 @@ class IRParser(TokenCursor):
         if hex_value is not None:
             attr_type = btypes.f64
             if self.accept(TokenKind.COLON):
-                attr_type = self.parse_type()
+                attr_type = self._type()
             return battrs.FloatAttr.get(hex_value, attr_type)
         int_value = -int(token.text) if negative else int(token.text)
         if self.accept(TokenKind.COLON):
-            attr_type = self.parse_type()
+            attr_type = self._type()
             if isinstance(attr_type, btypes.FloatType):
                 return battrs.FloatAttr.get(float(int_value), attr_type)
             return battrs.IntegerAttr.get(int_value, attr_type)
@@ -614,31 +702,6 @@ class IRParser(TokenCursor):
         self.expect(TokenKind.RBRACE, "'}'")
         return intern_attr(battrs.DictionaryAttr(entries))
 
-    def _spelled(self, pattern: re.Pattern, cache: dict, convert: Callable):
-        """``convert()``, once per spelling ``pattern`` marks out at the
-        current token.
-
-        The spelling is looked up only when the pattern matches and no
-        lookahead token is held.  A hit seeks past it; a miss converts it
-        token by token, raising exactly what it raised before, and stores
-        the result while the cache has room.
-        """
-        token = self._token
-        if token.kind is None or self._ahead is not None:
-            return convert()
-        match = pattern.match(self.source.contents, token.start)
-        if match is None:
-            return convert()
-        spelling = match.group()
-        value = cache.get(spelling)
-        if value is not None:
-            self.seek(match.end())
-            return value
-        value = convert()
-        if len(cache) < SPELLING_CACHE_LIMIT:
-            cache[spelling] = value
-        return value
-
     def _parse_dialect_attribute(self, token: Token) -> Attribute:
         qualified = token.value
         if "." not in qualified:
@@ -657,6 +720,15 @@ class IRParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_operation(self) -> Operation:
+        token = self._token
+        if (
+            (token.kind is TokenKind.PERCENT_IDENT
+             or token.kind is TokenKind.STRING)
+            and self._ahead is None
+        ):
+            match = _GENERIC_OP_RE.match(self.source.contents, token.start)
+            if match is not None:
+                return self._parse_matched_operation(match)
         result_tokens: list[Token] = []
         if self.peek().kind is TokenKind.PERCENT_IDENT:
             result_tokens.append(self.next())
@@ -675,23 +747,118 @@ class IRParser(TokenCursor):
                 f"expected an operation, found {token.text!r}", token
             )
         if len(result_tokens) != len(op.results):
-            raise self.error(
-                f"operation {op.name} produced {len(op.results)} results but "
-                f"{len(result_tokens)} names were bound",
-                token,
-            )
+            raise self.error(self._result_count(op, len(result_tokens)),
+                             token)
         self.ops_parsed += 1
         for name_token, result in zip(result_tokens, op.results):
             self.define_value(name_token.value, result, name_token)
-        # Provenance: an explicit trailing ``loc(...)`` wins (so printed
-        # IR round-trips); otherwise the op is attributed to the span of
-        # its name token in this source file.
+        self._locate(op, token.start)
+        return op
+
+    def _parse_matched_operation(self, match: re.Match) -> Operation:
+        """``parse_operation`` for the generic op ``_GENERIC_OP_RE``
+        matched at the current token.
+
+        Runs the token path's steps in its order, with its diagnostics;
+        a ``Token`` is built only to report one.  Then the cursor
+        continues after the match.
+        """
+        results, name, operands, attrs, signature = match.groups()
+        attributes: dict[str, Attribute] = {}
+        if attrs is not None:
+            attr_dict = self._attr_dicts.get(attrs)
+            if attr_dict is None:
+                attr_dict = self._convert(match, "attrs", self._attr_dicts,
+                                          self._parse_dictionary_attribute)
+            attributes = attr_dict.entries  # type: ignore[union-attr]
+        types = self._signatures.get(signature)
+        if types is None:
+            types = self._convert(match, "signature", self._signatures,
+                                  self._parse_op_signature)
+        operand_types, result_types = types
+        operand_names = _VALUE_NAME_RE.findall(operands) if operands else ()
+        if len(operand_names) != len(operand_types):
+            raise self.error(
+                self._operand_count(len(operand_names), len(operand_types)),
+                self._token_of(match, "name"),
+            )
+        resolve = self._resolve
+        values = []
+        for index, value_name in enumerate(operand_names):
+            value_type = operand_types[index]
+            value = resolve(value_name, value_type)
+            if value.type is not value_type and value.type != value_type:
+                raise self.error(
+                    self._mismatch(value_name, value, value_type),
+                    self._token_of(match, "operands", index),
+                )
+            values.append(value)
+        name = name[1:-1]
+        try:
+            op = self.context.create_operation(
+                name,
+                operands=values,
+                result_types=result_types,
+                attributes=attributes,
+            )
+        except UnregisteredConstructError as err:
+            raise self.error(str(err), self._token_of(match, "name")) from err
+        result_names = _VALUE_NAME_RE.findall(results) if results else ()
+        op_results = op.results
+        if len(result_names) != len(op_results):
+            raise self.error(self._result_count(op, len(result_names)),
+                             self._token_of(match, "name"))
+        self.ops_parsed += 1
+        bind = self._bind
+        for index, result_name in enumerate(result_names):
+            problem = bind(result_name, op_results[index])
+            if problem is not None:
+                raise self.error(problem,
+                                 self._token_of(match, "results", index))
+        self.seek(match.end())
+        self._locate(op, match.start("name"))
+        return op
+
+    def _convert(self, match: re.Match, group: str, cache: dict,
+                 convert: Callable):
+        """``convert()`` of the spelling ``group`` of ``match``, read
+        token by token from its offset, raising exactly what the token
+        path raises; stored in ``cache`` while it has room."""
+        self.seek(match.start(group))
+        value = convert()
+        if len(cache) < SPELLING_CACHE_LIMIT:
+            cache[match.group(group)] = value
+        return value
+
+    def _token_of(self, match: re.Match, group: str,
+                  index: int = 0) -> Token:
+        """The token the token path reports a diagnostic at: the op name
+        or the ``index``-th SSA name of ``group``."""
+        if group == "name":
+            start, end = match.span(group)
+            kind = TokenKind.STRING
+        else:
+            start, end = list(_VALUE_NAME_RE.finditer(
+                self.source.contents, *match.span(group)
+            ))[index].span()
+            kind = TokenKind.PERCENT_IDENT
+        return Token(kind, self.source.contents[start:end], start, end,
+                     self.source)
+
+    def _locate(self, op: Operation, name_start: int) -> None:
+        """Set ``op``'s location after its text.
+
+        Provenance: an explicit trailing ``loc(...)`` wins (so printed IR
+        round-trips); otherwise the op is attributed to the position of
+        its name in this source file.
+        """
         explicit = self._parse_optional_location()
         if explicit is not None:
             op.location = explicit
         elif op.location.is_unknown:
-            op.location = Location.from_span(token.span)
-        return op
+            position = self.source.position_of(name_start)
+            op.location = FileLineColLoc(self.source.name, position.line,
+                                         position.column)
 
     def _parse_optional_location(self) -> Location | None:
         """A trailing ``loc(...)`` attachment, if present.
@@ -750,16 +917,12 @@ class IRParser(TokenCursor):
             self.expect(TokenKind.RPAREN, "')'")
         attributes: dict[str, Attribute] = {}
         if self.peek().kind is TokenKind.LBRACE:
-            attr_dict = self._spelled(_ATTR_DICT_RE, self._attr_dicts,
-                                      self._parse_dictionary_attribute)
+            attr_dict = self._parse_dictionary_attribute()
             attributes = attr_dict.entries  # type: ignore[union-attr]
-        operand_types, result_types = self._spelled(
-            _SIGNATURE_RE, self._signatures, self._parse_op_signature
-        )
+        operand_types, result_types = self._parse_op_signature()
         if len(operand_tokens) != len(operand_types):
             raise self.error(
-                f"operation has {len(operand_tokens)} operands but "
-                f"{len(operand_types)} operand types",
+                self._operand_count(len(operand_tokens), len(operand_types)),
                 name_token,
             )
         operands = [

@@ -27,6 +27,7 @@ from repro.ir.params import ParamValue
 from repro.ir.region import Region
 from repro.ir.value import SSAValue
 from repro.textir.parser import SPELLING_CACHE_LIMIT
+from repro.utils.quoting import quote
 
 
 class Printer:
@@ -200,7 +201,7 @@ class Printer:
     def _print_generic(self, op: Operation) -> None:
         name_of = self.name_of
         operands = op.operands
-        self.write(f'"{op.name}"('
+        self.write(quote(op.name) + "("
                    + ", ".join(["%" + name_of(v) for v in operands]) + ")")
         if op.successors:
             self.write("[")

@@ -1,10 +1,12 @@
-"""The parser's spelling caches and the printer's type spellings.
+"""The parser's one-line op pattern, its spelling caches and the
+printer's type spellings.
 
-``IRParser`` converts each distinct spelling of a generic op's signature
-and attribute dictionary once per parse.  The caches must not show:
-printed text (with and without locations), IRBC bytes and diagnostics
-equal those of a parse with both spelling patterns disabled, in which
-every spelling is read token by token.
+``IRParser`` reads a generic op printed on one line with one match of
+``_GENERIC_OP_RE``, and converts each distinct spelling of its signature
+and attribute dictionary once per parse.  Neither may show: printed text
+(with and without locations), IRBC bytes, value names and diagnostics
+equal those of a parse with the pattern disabled, in which every op is
+read token by token.
 """
 
 import ast
@@ -21,9 +23,9 @@ from repro.irdl import register_irdl
 from repro.irdl.irgen import IRGenerator
 from repro.textir import parser as parser_module
 from repro.textir import Printer, print_op
-from repro.textir.lexer import TokenCursor
+from repro.textir.lexer import Lexer, TokenCursor
 from repro.textir.parser import SPELLING_CACHE_LIMIT, IRParser
-from repro.utils import DiagnosticError
+from repro.utils import DiagnosticError, SourceFile
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 NEVER = re.compile(r"(?!)")
@@ -62,8 +64,7 @@ def parse(context, text, cached=True):
     """The parser after ``parse_module``, and the module it built."""
     with pytest.MonkeyPatch.context() as patch:
         if not cached:
-            patch.setattr(parser_module, "_ATTR_DICT_RE", NEVER)
-            patch.setattr(parser_module, "_SIGNATURE_RE", NEVER)
+            patch.setattr(parser_module, "_GENERIC_OP_RE", NEVER)
         parser = IRParser(context, text, "input.mlir")
         return parser, parser.parse_module()
 
@@ -87,7 +88,7 @@ def assert_caches_do_not_show(context, text, repeats=True):
 
 
 # ----------------------------------------------------------------------
-# Same text, IRBC and locations with the caches on and off
+# Same text, IRBC and locations with the pattern on and off
 # ----------------------------------------------------------------------
 
 
@@ -238,6 +239,162 @@ def test_excluded_spelling_parses_token_by_token(what):
     first, second = module.regions[0].blocks[0].ops
     assert first.attributes == second.attributes
     assert [r.type for r in first.results] == [r.type for r in second.results]
+
+
+# ----------------------------------------------------------------------
+# The pattern's boundary
+# ----------------------------------------------------------------------
+
+
+class CountedPattern:
+    """``_GENERIC_OP_RE``, counting the ops it matches."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matches = 0
+
+    def match(self, *args):
+        match = self.pattern.match(*args)
+        self.matches += match is not None
+        return match
+
+
+def matched_parse(context, text):
+    """``parse(context, text)``, and how many ops the pattern matched;
+    a diagnostic takes the place of the parser and module."""
+    counted = CountedPattern(parser_module._GENERIC_OP_RE)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser_module, "_GENERIC_OP_RE", counted)
+        try:
+            return parse(context, text), counted.matches
+        except DiagnosticError as err:
+            return str(err), counted.matches
+
+
+def name_hints(module) -> list:
+    return [result.name_hint for op in module.walk() for result in op.results]
+
+
+REGION = '"t.region"() ({{\n{}}}) : () -> ()\n'
+
+#: ``text``, whether unregistered ops are allowed, and how many of its
+#: ops the pattern matches.
+BOUNDARY = {
+    "no spaces": (
+        '%a="t.c"(){v = 1}:()->(i32)\n%b="t.u"(%a):(i32)->(i32)\n', True, 2,
+    ),
+    "tabs": (
+        '%a\t=\t"t.c"()\t{v = 1}\t:\t()\t->\t(i32)\n'
+        '"t.u"(\t%a\t)\t:\t(i32)\t->\t()\n',
+        True, 2,
+    ),
+    "two results": (
+        '%a, %b = "t.c"() : () -> (i32, f32)\n'
+        '%c,%d = "t.c"() : () -> (i32, f32)\n'
+        '"t.u"(%b, %a, %d) : (f32, i32, f32) -> ()\n',
+        True, 3,
+    ),
+    "trailing loc": (
+        '%a = "t.c"() : () -> (i32) loc("gen.py":7:3)\n'
+        '"t.u"(%a) : (i32) -> () loc(fused["a.mlir":1:2, "b.mlir":3:4])\n',
+        True, 2,
+    ),
+    "trailing comment": (
+        '%a = "t.c"() : () -> (i32) // made here\n'
+        '"t.u"(%a) : (i32) -> () // used here\n',
+        True, 2,
+    ),
+    "escaped op name": (
+        '%a = "t.c\\"q"() : () -> (i32)\n"t.u"(%a) : (i32) -> ()\n', True, 1,
+    ),
+    "successors": (
+        REGION.format('  "t.br"()[^bb1] : () -> ()\n^bb1:\n'
+                      '  "t.ret"() : () -> ()\n'),
+        True, 1,
+    ),
+    "forward reference": (
+        '"t.u"(%late, %late) : (i32, i32) -> ()\n'
+        '%late = "t.c"() : () -> (i32)\n',
+        True, 2,
+    ),
+    "forward reference of another type": (
+        '"t.u"(%late) : (f32) -> ()\n%late = "t.c"() : () -> (i32)\n',
+        True, 2,
+    ),
+    "duplicate definition": (
+        '%a = "t.c"() : () -> (i32)\n%b, %a = "t.c"() : () -> (i32, i32)\n',
+        True, 2,
+    ),
+    "unregistered op": (
+        '%a = "arith.constant"() {value = 1 : i32} : () -> (i32)\n'
+        '"t.u"(%a) : (i32) -> ()\n',
+        False, 2,
+    ),
+    "wrong operand count": (
+        '%a = "t.c"() : () -> (i32)\n"t.u"(%a, %a) : (i32) -> ()\n', True, 2,
+    ),
+    "wrong result count": (
+        '%a, %b = "t.c"() : () -> (i32)\n', True, 1,
+    ),
+    "wrong operand type": (
+        '%a = "t.c"() : () -> (i32)\n"t.u"(%a, %a) : (i32, f32) -> ()\n',
+        True, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BOUNDARY))
+def test_pattern_boundary(what):
+    text, unregistered, matches = BOUNDARY[what]
+    context = default_context(allow_unregistered=unregistered)
+    result, matched = matched_parse(context, text)
+    assert matched == matches
+    if isinstance(result, str):
+        assert result == diagnostic(context, text, cached=False)
+        return
+    _, module = result
+    _, expected = parse(context, text, cached=False)
+    assert (print_op(module, print_locations=True)
+            == print_op(expected, print_locations=True))
+    assert encode_module(module) == encode_module(expected)
+    assert name_hints(module) == name_hints(expected)
+
+
+def test_pattern_lexes_one_token_per_printed_op(workloads):
+    """The printed ``rewrite_mix`` text: every op but the module, the
+    functions and the custom-format ``cmath.norm`` ops is matched, and
+    each matched op costs one token (the next op's first) besides the
+    first reading of each distinct spelling, so a printer change that
+    stops the pattern matching fails here."""
+    mix = workloads.RewriteMix(0, functions=4)
+    context = cmath_context()
+    text = print_op(parse(context, mix.text)[1])
+    (parser, module), matched = matched_parse(context, text)
+    ops = sum(1 for _ in module.walk())
+    assert text.count(" = cmath.norm ") == 8
+    assert matched == ops - 1 - 4 - 8 == 372
+    reference, _ = parse(context, text, cached=False)
+    outside = reference.lexer.tokens_lexed - sum(
+        tokens_in(op_text) for op_text in matched_spans(text)
+    )
+    # A spelling read once: its tokens and the one after it.
+    spellings = sum(tokens_in(spelling) + 1 for spelling in
+                    [*parser._attr_dicts, *parser._signatures])
+    assert parser.lexer.tokens_lexed <= outside + matched + spellings
+
+
+def tokens_in(text: str) -> int:
+    return len(Lexer(SourceFile(text)).tokenize()) - 1
+
+
+def matched_spans(text: str) -> list[str]:
+    """The text of each line's op that the pattern matches."""
+    spans = []
+    for line in text.splitlines():
+        match = parser_module._GENERIC_OP_RE.match(line.strip())
+        if match is not None:
+            spans.append(match.group())
+    return spans
 
 
 # ----------------------------------------------------------------------

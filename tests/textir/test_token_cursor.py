@@ -194,7 +194,9 @@ def test_cursor_holds_the_current_token_plus_at_most_one(monkeypatch,
     monkeypatch.setattr(TokenCursor, "next", counted_next)
     monkeypatch.setattr(TokenCursor, "seek", counted_seek)
     parse_module(context, synth_text)
-    assert (state["consumed"], state["lexed"]) == (7_092, 8_187)
+    # Each generic op is matched whole: the tokens lexed are each op's
+    # first, the module's own and each spelling's first reading.
+    assert (state["consumed"], state["lexed"]) == (157, 1_178)
     assert state["most_ahead"] <= 2
 
 
@@ -205,8 +207,10 @@ def test_tokens_lexed_is_unchanged(synth_text):
     metrics = enable_metrics(MetricsRegistry())
     try:
         parse_module(_bench_context(), synth_text)
-        # The parser lexes each repeated signature and attribute
-        # dictionary once (docs/performance.md, "Spelling caches").
-        assert metrics.value_of("textir.lexer.tokens") == 8_186
+        # The parser matches each one-line generic op whole and lexes
+        # only its first token, and each distinct signature and
+        # attribute dictionary once (docs/performance.md, "One-line
+        # generic ops").
+        assert metrics.value_of("textir.lexer.tokens") == 1_177
     finally:
         reset()
