@@ -18,12 +18,12 @@ from repro.ir.dialect import (
     OpDefBinding,
 )
 from repro.ir.exceptions import UnregisteredConstructError
+from repro.ir.operation import Operation
 from repro.ir.uniquer import DEFAULT_UNIQUER, AttributeUniquer
 
 if TYPE_CHECKING:
     from repro.ir.block import Block
     from repro.ir.location import Location
-    from repro.ir.operation import Operation
     from repro.ir.region import Region
     from repro.ir.value import SSAValue
 
@@ -120,30 +120,20 @@ class Context:
         successors: Sequence["Block"] = (),
         regions: Sequence["Region"] = (),
         location: "Location | None" = None,
-    ) -> "Operation":
+    ) -> Operation:
         """Create an operation, binding it to its registered definition.
 
         Raises :class:`UnregisteredConstructError` for unknown operations
         unless the context allows unregistered constructs.
         """
-        from repro.ir.operation import Operation
-
         definition = self.get_op_def(name)
         if definition is None and not self.allow_unregistered:
             raise UnregisteredConstructError(
                 f"operation {name!r} is not registered "
                 f"(known dialects: {sorted(self.dialects)})"
             )
-        return Operation(
-            name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-            successors=successors,
-            regions=regions,
-            definition=definition,
-            location=location,
-        )
+        return Operation(name, operands, result_types, attributes,
+                         successors, regions, definition, location)
 
     def make_type(self, qualified_name: str, parameters: Sequence[Any] = ()) -> Attribute:
         """Instantiate a registered type by name (uniqued)."""

@@ -17,13 +17,15 @@ if TYPE_CHECKING:
     from repro.ir.value import SSAValue
 
 
-#: The deepest region nesting the textual parser and the IRBC decoder
-#: accept.  The root op's regions are level 1, so an op inside
-#: ``MAX_NESTING`` nested regions still parses and decodes; a region one
-#: level deeper is refused with a diagnostic.  Parsing, decoding,
-#: printing and ``Operation.verify`` recurse once per level; at this
-#: depth all four run from a test's stack at Python's default recursion
-#: limit (1,000).
+#: The deepest region nesting the textual parser and printer and the
+#: IRBC decoder and encoders accept.  The root op's regions are level 1,
+#: so an op inside ``MAX_NESTING`` nested regions still parses, prints
+#: and decodes; a region one level deeper is refused with a diagnostic
+#: (the printer and the encoders raise, naming the limit).  Parsing,
+#: decoding, printing and ``Operation.verify`` recurse once per level;
+#: at this depth all four run from a test's stack at Python's default
+#: recursion limit (1,000).  ``Operation.verify`` does not check the
+#: limit.
 #:
 #: The same number bounds how deeply attribute, type and parameter
 #: values nest, where a value is 1 deeper than its deepest part (an

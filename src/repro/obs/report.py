@@ -26,7 +26,10 @@ _WIDTH = 79
 #: readers can tell "not instrumented" apart from "instrumented but
 #: nothing happened".
 INSTRUMENT_CATALOG: dict[str, str] = {
-    "textir.lexer.tokens": "tokens lexed for the textual parser's token path",
+    "textir.lexer.tokens": (
+        "tokens lexed for the textual parser's token path (a run of "
+        "one-line generic ops costs one token)"
+    ),
     "textir.parser.ops_parsed": "operations parsed from textual IR",
     "textir.parser.parse_time": "wall time spent in the textual parser",
     "textir.parser.module_ops": "operations per parsed module",

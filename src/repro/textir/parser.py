@@ -28,12 +28,7 @@ from repro.ir.attributes import Attribute, TypeAttribute
 from repro.ir.block import Block
 from repro.ir.context import Context
 from repro.ir.exceptions import UnregisteredConstructError, VerifyError
-from repro.ir.location import (
-    UNKNOWN_LOC,
-    FileLineColLoc,
-    FusedLoc,
-    Location,
-)
+from repro.ir.location import UNKNOWN_LOC, FileLineColLoc, Location
 from repro.ir.operation import Operation
 from repro.ir.params import (
     ArrayParam,
@@ -66,7 +61,7 @@ _NUMBER_KINDS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS)
 #
 #     %a, %b = "d.op"(%x, %y) {...} : (...) -> (...)
 #
-# matched at the offset of its first token (``IRParser.parse_operation``).
+# matched at the offset of its first token (``IRParser._parse_ops``).
 # Result names, operands and the attribute dictionary are optional, and
 # spaces and tabs may separate the tokens.  The quoted op name holds no
 # backslash, so its text between the quotes is its value.  The
@@ -88,6 +83,11 @@ _GENERIC_OP_RE = re.compile(
 # One SSA name in the ``results`` or ``operands`` group; group 1 is the
 # name without its ``%``.
 _VALUE_NAME_RE = re.compile(r"%([\w$.]+)")
+# What the lexer skips between two tokens (spaces, tabs, ``\r``,
+# newlines and ``//`` comments), so the next op of a run is matched
+# where its first token starts.  It may skip nothing that the lexer's
+# ``trivia`` does not, or text the token path rejects would parse.
+_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 
 #: Entries each per-parse spelling cache takes; later spellings still
 #: parse, uncached.  The size of ``codegen.shared_code``.
@@ -719,16 +719,62 @@ class IRParser(TokenCursor):
     # Operations
     # ------------------------------------------------------------------
 
-    def parse_operation(self) -> Operation:
+    def _parse_ops(self, add: Callable[[Operation], Any]) -> None:
+        """Parse the op at the current token and pass it to ``add``; if
+        ``_GENERIC_OP_RE`` matches there, parse the whole run of ops it
+        matches from there on.
+
+        A run is read from the text alone: after each op ``_TRIVIA_RE``
+        skips what the lexer would skip and the pattern is tried again,
+        so a matched op needs no token.  The run ends where the pattern
+        fails, and one ``seek`` hands that offset to the cursor: a
+        trailing ``loc(...)`` there is the last op's, and everything
+        after it goes to the token path.
+        """
         token = self._token
+        text = self.source.contents
+        match = None
         if (
             (token.kind is TokenKind.PERCENT_IDENT
              or token.kind is TokenKind.STRING)
             and self._ahead is None
         ):
-            match = _GENERIC_OP_RE.match(self.source.contents, token.start)
-            if match is not None:
-                return self._parse_matched_operation(match)
+            match = _GENERIC_OP_RE.match(text, token.start)
+        if match is None:
+            add(self.parse_operation())
+            return
+        filename = self.source.name
+        # The current op's line and the offset that line starts at,
+        # carried along the run (a match spans one line), so each op's
+        # location is the one ``position_of`` gives its name.
+        line = self.source.position_of(token.start).line
+        line_start = text.rfind("\n", 0, token.start) + 1
+        while True:
+            column = match.start("name") - line_start + 1
+            op = self._parse_matched_operation(
+                match, FileLineColLoc(filename, line, column)
+            )
+            add(op)
+            end = match.end()
+            start = _TRIVIA_RE.match(text, end).end()
+            match = _GENERIC_OP_RE.match(text, start)
+            if match is None:
+                break
+            newlines = text.count("\n", end, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", end, start) + 1
+        self.seek(end)
+        explicit = self._parse_optional_location()
+        if explicit is not None:
+            op.location = explicit
+
+    def parse_operation(self) -> Operation:
+        """Parse one op token by token, with its trailing ``loc(...)``.
+
+        Blocks and the top level read their ops through ``_parse_ops``,
+        which reads one-line generic ops without tokens.
+        """
         result_tokens: list[Token] = []
         if self.peek().kind is TokenKind.PERCENT_IDENT:
             result_tokens.append(self.next())
@@ -755,16 +801,15 @@ class IRParser(TokenCursor):
         self._locate(op, token.start)
         return op
 
-    def _parse_matched_operation(self, match: re.Match) -> Operation:
-        """``parse_operation`` for the generic op ``_GENERIC_OP_RE``
-        matched at the current token.
+    def _parse_matched_operation(self, match: re.Match,
+                                 location: Location) -> Operation:
+        """The generic op ``_GENERIC_OP_RE`` matched, at ``location``.
 
         Runs the token path's steps in its order, with its diagnostics;
-        a ``Token`` is built only to report one.  Then the cursor
-        continues after the match.
+        a ``Token`` is built only to report one.
         """
         results, name, operands, attrs, signature = match.groups()
-        attributes: dict[str, Attribute] = {}
+        attributes = None
         if attrs is not None:
             attr_dict = self._attr_dicts.get(attrs)
             if attr_dict is None:
@@ -793,13 +838,13 @@ class IRParser(TokenCursor):
                     self._token_of(match, "operands", index),
                 )
             values.append(value)
-        name = name[1:-1]
         try:
             op = self.context.create_operation(
-                name,
+                name[1:-1],
                 operands=values,
                 result_types=result_types,
                 attributes=attributes,
+                location=location,
             )
         except UnregisteredConstructError as err:
             raise self.error(str(err), self._token_of(match, "name")) from err
@@ -815,8 +860,6 @@ class IRParser(TokenCursor):
             if problem is not None:
                 raise self.error(problem,
                                  self._token_of(match, "results", index))
-        self.seek(match.end())
-        self._locate(op, match.start("name"))
         return op
 
     def _convert(self, match: re.Match, group: str, cache: dict,
@@ -891,7 +934,7 @@ class IRParser(TokenCursor):
             while self.accept(TokenKind.COMMA):
                 parts.append(self._parse_location_value())
             self.expect(TokenKind.RBRACKET, "']'")
-            return FusedLoc(parts)
+            return Location.fuse(parts)
         if token.kind is TokenKind.STRING:
             filename = self.next().value
             self.expect(TokenKind.COLON, "':'")
@@ -1068,7 +1111,7 @@ class IRParser(TokenCursor):
             TokenKind.RBRACE,
             TokenKind.EOF,
         ):
-            block.add_op(self.parse_operation())
+            self._parse_ops(block.add_op)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -1096,7 +1139,7 @@ class IRParser(TokenCursor):
                         "wrapped in a module"
                     )
                 self._outer_levels = 1
-            ops.append(self.parse_operation())
+            self._parse_ops(ops.append)
         self._check_no_pending()
         if len(ops) == 1 and ops[0].name == "builtin.module":
             return ops[0]

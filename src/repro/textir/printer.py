@@ -22,9 +22,10 @@ from repro.ir.attributes import (
     attribute_name,
 )
 from repro.ir.block import Block
+from repro.ir.exceptions import InvalidIRStructureError
 from repro.ir.operation import Operation
 from repro.ir.params import ParamValue
-from repro.ir.region import Region
+from repro.ir.region import MAX_NESTING, Region
 from repro.ir.value import SSAValue
 from repro.textir.parser import SPELLING_CACHE_LIMIT
 from repro.utils.quoting import quote
@@ -42,6 +43,8 @@ class Printer:
         #: round-trips through text).
         self.print_locations = print_locations
         self._indent = 0
+        # Regions open around the op being printed.
+        self._depth = 0
         self._value_names: dict[SSAValue, str] = {}
         self._used_names: set[str] = set()
         self._block_names: dict[Block, str] = {}
@@ -228,6 +231,14 @@ class Printer:
         self.print_attribute(value)
 
     def print_region(self, region: Region) -> None:
+        """Print ``region``; past ``MAX_NESTING`` open regions, raise
+        :class:`InvalidIRStructureError`, as the IRBC encoders do,
+        before printing recurses deeper."""
+        if self._depth == MAX_NESTING:
+            raise InvalidIRStructureError(
+                f"regions nest deeper than the limit of {MAX_NESTING}"
+            )
+        self._depth += 1
         self.write("{")
         self._indent += 1
         multi_block = len(region.blocks) > 1
@@ -246,6 +257,7 @@ class Printer:
             else:
                 self._print_block_body(block)
         self._indent -= 1
+        self._depth -= 1
         self.newline()
         self.write("}")
 

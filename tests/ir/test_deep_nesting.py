@@ -2,8 +2,9 @@
 
 ``Operation.walk`` and ``Operation.clone`` run from explicit stacks, so
 a chain of single-block regions 2,000 deep (twice the default recursion
-limit) works.  ``verify``, the printer and the parser still recurse once
-per nesting level.
+limit) works.  ``verify`` still recurses once per nesting level without
+a bound; the printer and the parser recurse too, but refuse regions
+nested deeper than ``MAX_NESTING`` (tests/ir/test_nesting_limit.py).
 """
 
 import sys

@@ -1,10 +1,12 @@
-"""The nesting limit shared by the textual parser and the IRBC codec.
+"""The nesting limit shared by the textual parser and printer and the
+IRBC codec.
 
-Both read regions by recursion, one level at a time, as do the printer
-and ``Operation.verify``.  A chain of single-block regions
-``MAX_NESTING`` deep parses, prints, verifies, encodes and decodes from
-a test's stack; one level deeper, the parser reports the offending
-``{``, and the encoders and the decoder name the limit.
+The parser, the decoder and the printer read or write regions by
+recursion, one level at a time, as does ``Operation.verify``.  A chain
+of single-block regions ``MAX_NESTING`` deep parses, prints, verifies,
+encodes and decodes from a test's stack; one level deeper, the parser
+reports the offending ``{``, and the printer, the encoders and the
+decoder name the limit.
 """
 
 import io
@@ -20,7 +22,13 @@ from repro.bytecode import (
     encode_module_stream,
     encoder,
 )
-from repro.ir import MAX_NESTING, Block, Operation, Region
+from repro.ir import (
+    MAX_NESTING,
+    Block,
+    InvalidIRStructureError,
+    Operation,
+    Region,
+)
 from repro.textir import parse_module, print_op
 from repro.utils import DiagnosticError
 
@@ -99,6 +107,25 @@ def test_parser_counts_a_leading_module_that_gets_wrapped(context):
     with pytest.raises(DiagnosticError,
                        match="once the top-level operations are wrapped"):
         parse_module(context, chain_text(MAX_NESTING) + "\n" + LEAF)
+
+
+def test_printer_at_the_limit():
+    module = chain_module(MAX_NESTING)
+    text = print_op(module)
+    assert text.count("test.nest") == MAX_NESTING - 1
+    assert text.count("test.leaf") == 1
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1000])
+def test_printer_names_the_limit_one_level_deeper(levels):
+    # From a test's stack the printer's recursion would overflow at
+    # about 199 levels; the limit is reported long before.
+    module = chain_module(levels)
+    with pytest.raises(InvalidIRStructureError) as info:
+        print_op(module)
+    assert str(info.value) == (
+        f"regions nest deeper than the limit of {MAX_NESTING}"
+    )
 
 
 def test_decoder_at_the_limit(context):

@@ -1,6 +1,10 @@
 """Parser-attached locations and the loc(...) print/parse round-trip."""
 
-from repro.ir import FileLineColLoc, FusedLoc
+import pytest
+
+from repro.builtin import default_context
+from repro.bytecode import decode_module, encode_module
+from repro.ir import UNKNOWN_LOC, FileLineColLoc, FusedLoc
 from repro.textir import parse_module, print_op
 
 IR = """\
@@ -81,3 +85,26 @@ class TestPrintLocations:
         assert op.location == FusedLoc([
             FileLineColLoc("a.c", 1, 2), FileLineColLoc("b.c", 3, 4),
         ])
+
+    @pytest.mark.parametrize("suffix, expected", [
+        ('loc(fused["a.mlir":1:2, unknown])', FileLineColLoc("a.mlir", 1, 2)),
+        ("loc(fused[unknown])", UNKNOWN_LOC),
+        ('loc(fused["a.mlir":1:2, fused["b.mlir":3:4, "a.mlir":1:2]])',
+         FusedLoc([FileLineColLoc("a.mlir", 1, 2),
+                   FileLineColLoc("b.mlir", 3, 4)])),
+    ])
+    def test_parsed_fused_loc_is_normalized_and_encodes(self, suffix,
+                                                        expected):
+        # A parsed fused location is built as Location.fuse builds one,
+        # so IRBC, which stores only file positions inside a fused
+        # location, round-trips it.
+        context = default_context(allow_unregistered=True)
+        module = parse_module(context, f'"t.u"() : () -> () {suffix}\n',
+                              "f.mlir")
+        (op,) = list(module.walk(include_self=False))
+        assert op.location == expected
+        text = print_op(module, print_locations=True)
+        decoded = decode_module(context, encode_module(module))
+        assert print_op(decoded, print_locations=True) == text
+        assert print_op(parse_module(context, text, "again.mlir"),
+                        print_locations=True) == text

@@ -1,20 +1,24 @@
-"""The parser's one-line op pattern, its spelling caches and the
-printer's type spellings.
+"""The parser's one-line op pattern, its runs, its spelling caches and
+the printer's type spellings.
 
 ``IRParser`` reads a generic op printed on one line with one match of
-``_GENERIC_OP_RE``, and converts each distinct spelling of its signature
-and attribute dictionary once per parse.  Neither may show: printed text
-(with and without locations), IRBC bytes, value names and diagnostics
-equal those of a parse with the pattern disabled, in which every op is
-read token by token.
+``_GENERIC_OP_RE``, and a run of such ops one after the other without
+tokens; it converts each distinct spelling of their signatures and
+attribute dictionaries once per parse.  None of this may show: printed
+text (with and without locations), IRBC bytes, value names, the ops
+counted and diagnostics equal those of a parse with the pattern
+disabled, in which every op is read token by token.
 """
 
 import ast
+import itertools
 import pathlib
 import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.builtin import FloatAttr, default_context, f64
 from repro.bytecode import encode_module
@@ -343,29 +347,37 @@ BOUNDARY = {
 }
 
 
-@pytest.mark.parametrize("what", sorted(BOUNDARY))
-def test_pattern_boundary(what):
-    text, unregistered, matches = BOUNDARY[what]
-    context = default_context(allow_unregistered=unregistered)
+def assert_parses_as_token_path(context, text, matches=None):
+    """``text`` parses, or fails, exactly as with the pattern off; with
+    ``matches``, the pattern matched that many ops."""
     result, matched = matched_parse(context, text)
-    assert matched == matches
+    if matches is not None:
+        assert matched == matches
     if isinstance(result, str):
         assert result == diagnostic(context, text, cached=False)
         return
-    _, module = result
-    _, expected = parse(context, text, cached=False)
+    parser, module = result
+    reference, expected = parse(context, text, cached=False)
     assert (print_op(module, print_locations=True)
             == print_op(expected, print_locations=True))
     assert encode_module(module) == encode_module(expected)
     assert name_hints(module) == name_hints(expected)
+    assert parser.ops_parsed == reference.ops_parsed
+
+
+@pytest.mark.parametrize("what", sorted(BOUNDARY))
+def test_pattern_boundary(what):
+    text, unregistered, matches = BOUNDARY[what]
+    context = default_context(allow_unregistered=unregistered)
+    assert_parses_as_token_path(context, text, matches)
 
 
 def test_pattern_lexes_one_token_per_printed_op(workloads):
     """The printed ``rewrite_mix`` text: every op but the module, the
     functions and the custom-format ``cmath.norm`` ops is matched, and
-    each matched op costs one token (the next op's first) besides the
-    first reading of each distinct spelling, so a printer change that
-    stops the pattern matching fails here."""
+    each run of matched ops costs one token besides the first reading
+    of each distinct spelling, so a printer change that stops the
+    pattern matching fails here."""
     mix = workloads.RewriteMix(0, functions=4)
     context = cmath_context()
     text = print_op(parse(context, mix.text)[1])
@@ -373,28 +385,197 @@ def test_pattern_lexes_one_token_per_printed_op(workloads):
     ops = sum(1 for _ in module.walk())
     assert text.count(" = cmath.norm ") == 8
     assert matched == ops - 1 - 4 - 8 == 372
+    spans = matched_lines(text)
+    # Each function's ops before and after its two cmath.norm ops.
+    runs = sum(in_run for in_run, _ in itertools.groupby(
+        span is not None for span in spans
+    ))
+    assert runs == 2 * 4
     reference, _ = parse(context, text, cached=False)
     outside = reference.lexer.tokens_lexed - sum(
-        tokens_in(op_text) for op_text in matched_spans(text)
+        tokens_in(span) for span in spans if span is not None
     )
     # A spelling read once: its tokens and the one after it.
     spellings = sum(tokens_in(spelling) + 1 for spelling in
                     [*parser._attr_dicts, *parser._signatures])
-    assert parser.lexer.tokens_lexed <= outside + matched + spellings
+    assert parser.lexer.tokens_lexed == outside + runs + spellings
 
 
 def tokens_in(text: str) -> int:
     return len(Lexer(SourceFile(text)).tokenize()) - 1
 
 
-def matched_spans(text: str) -> list[str]:
-    """The text of each line's op that the pattern matches."""
+def matched_lines(text: str) -> list[str | None]:
+    """For each line, the text of its op if the pattern matches it."""
     spans = []
     for line in text.splitlines():
         match = parser_module._GENERIC_OP_RE.match(line.strip())
-        if match is not None:
-            spans.append(match.group())
+        spans.append(None if match is None else match.group())
     return spans
+
+
+# ----------------------------------------------------------------------
+# Runs
+# ----------------------------------------------------------------------
+
+
+A = '%a = "t.c"() : () -> (i32)'
+B = '%b = "t.c"() : () -> (i32)'
+USE = '"t.u"(%a, %b) : (i32, i32) -> ()'
+
+#: ``text``, whether unregistered ops are allowed, and how many of its
+#: ops the pattern matches.
+RUNS = {
+    "ended by a region op": (
+        f'{A}\n{B}\n"t.region"() ({{\n  {USE}\n}}) : () -> ()\n'
+        '"t.u"(%a) : (i32) -> ()\n',
+        True, 4,
+    ),
+    "ended by a custom-format op": (
+        '%p = "t.c"() : () -> (!cmath.complex<f32>)\n'
+        '%n = cmath.norm %p : f32\n"t.u"(%n) : (f32) -> ()\n',
+        True, 2,
+    ),
+    "ended by a block label": (
+        f'"t.region"() ({{\n  {A}\n  "t.u"(%a) : (i32) -> ()\n'
+        '^bb1:\n  "t.u"() : () -> ()\n}) : () -> ()\n',
+        True, 3,
+    ),
+    "ended by a brace on the same line": (
+        f'"t.region"() ({{ {A} {B} {USE} }}) : () -> ()', True, 3,
+    ),
+    "ended by EOF without a newline": (f"{A}\n{B}\n{USE}", True, 3),
+    "ended by EOF after a comment": (f"{A}\n{B} // last", True, 2),
+    "ended by a slash that starts no comment": (
+        f"{A}\n{B} /\n{USE}\n", True, 2,
+    ),
+    "comment and blank lines": (
+        f"// head\n\n{A}\n// between\n\n   // indented\n{B}\n\n\n"
+        f"{USE}\n",
+        True, 3,
+    ),
+    "CRLF": (f"{A}\r\n\r\n{B}\r\n{USE}\r\n", True, 3),
+    "tabs": (f"\t{A}\n\t\t{B}\t\n \t{USE}\n", True, 3),
+    "two ops on one line": (
+        f"{A} {B}\n{USE}  {USE}\t{USE}\n", True, 5,
+    ),
+    "loc on the first op": (
+        f'{A} loc("x.py":7:3)\n{B}\n{USE}\n', True, 3,
+    ),
+    "loc on a middle op": (
+        f'{A}\n{B} loc("x.py":7:3)\n{USE}\n', True, 3,
+    ),
+    "loc on the last op": (
+        f'{A}\n{B}\n{USE} loc(fused["x.py":7:3, "y.py":1:1])\n', True, 3,
+    ),
+    "loc on the line after a comment": (
+        f'{A} // made here\n  loc("x.py":7:3)\n{B}\n{USE}\n', True, 3,
+    ),
+    "unregistered op mid-run": (
+        '%a = "arith.constant"() {value = 1 : i32} : () -> (i32)\n'
+        '%b = "arith.addi"(%a, %a) : (i32, i32) -> (i32)\n'
+        '"t.u"(%b) : (i32) -> ()\n'
+        '%c = "arith.addi"(%b, %b) : (i32, i32) -> (i32)\n',
+        False, 3,
+    ),
+    "wrong operand count mid-run": (
+        f'{A}\n"t.u"(%a, %a) : (i32) -> ()\n{B}\n', True, 2,
+    ),
+    "wrong operand type mid-run": (
+        f'{A}\n{B}\n"t.u"(%a, %b) : (i32, f32) -> ()\n{USE}\n', True, 3,
+    ),
+    "duplicate definition mid-run": (f"{A}\n{B}\n{A}\n{USE}\n", True, 3),
+    "forward references inside and after the run": (
+        '"t.u"(%late, %later) : (i32, i32) -> ()\n'
+        '%late = "t.c"() : () -> (i32)\n'
+        '"t.region"() ({\n  "t.u"(%late) : (i32) -> ()\n}) : () -> ()\n'
+        '%later = "t.c"() : () -> (i32)\n',
+        True, 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RUNS))
+def test_run_parses_as_the_token_path(what):
+    text, unregistered, matches = RUNS[what]
+    context = cmath_context(allow_unregistered=unregistered)
+    assert_parses_as_token_path(context, text, matches)
+
+
+def test_run_seeks_once(seeks):
+    text = "".join(f'%a{k} = "t.c"() : () -> (i32)\n'
+                   f'"t.u"(%a{k}) : (i32) -> ()\n' for k in range(50))
+    parser, module = parse(default_context(allow_unregistered=True), text)
+    assert len(module.regions[0].blocks[0].ops) == 100
+    # One seek to read each signature and one at the end of the run.
+    assert seeks["seeks"] == len(parser._signatures) + 1 == 3
+
+
+#: One-line generic ops ``interleavings`` draws: ``{i}`` keeps each
+#: definition fresh, and ``{u}`` is a value defined before or after.
+RUN_OPS = [
+    '%v{i} = "t.c"() : () -> (i32)',
+    '%v{i}, %w{i} = "t.c"() {{k = {i} : i32}} : () -> (i32, f32)',
+    '"t.u"({u}) : (i32) -> ()',
+    '%v{i} = "t.u"({u}, {u}) : (i32, i32) -> (i32)',
+]
+#: Ops that end a run; ``{d}`` is a value defined before.
+BREAKS = [
+    '%c{i} = "t.c"() : () -> (!cmath.complex<f32>)\n'
+    '%n{i} = cmath.norm %c{i} : f32',
+    '"t.region"() ({{\n  "t.u"({d}) : (i32) -> ()\n^bb1:\n'
+    '  "t.u"() : () -> ()\n}}) : () -> ()',
+]
+#: Ops the token path reports a diagnostic for.
+ERRORS = [
+    '"t.u"({d}) : () -> ()',
+    '"t.u"({d}) : (f32) -> ()',
+    '{d} = "t.c"() : () -> (i32)',
+    '"t.u"() : () -> (i32 $)',
+]
+SEPARATORS = ["\n", "\n\n", "\n// note\n", " // note\n", "\r\n", "\n\t",
+              " ", "\t"]
+LOCATIONS = ["", "", ' loc("x.py":3:4)', " loc(unknown)",
+             ' loc(fused["x.py":3:4, unknown])']
+
+
+@st.composite
+def interleavings(draw) -> str:
+    """Runs of one-line generic ops, what ends them, and sometimes an
+    op the token path rejects."""
+    count = draw(st.integers(1, 12))
+    error_at = draw(st.integers(0, 3 * count))
+    defined, forward = ["%v0"], []
+    pieces = ['%v0 = "t.c"() : () -> (i32)']
+
+    def separate():
+        pieces.append(draw(st.sampled_from(LOCATIONS)))
+        pieces.append(draw(st.sampled_from(SEPARATORS)))
+
+    for index in range(1, count + 1):
+        separate()
+        if index == error_at:
+            template = draw(st.sampled_from(ERRORS))
+        else:
+            template = draw(st.sampled_from(RUN_OPS * 3 + BREAKS))
+        used = draw(st.sampled_from(defined + [f"%f{index}"]))
+        if used not in defined:
+            forward.append(used)
+        pieces.append(template.format(
+            i=index, u=used, d=draw(st.sampled_from(defined))
+        ))
+        if template.startswith("%v{i}"):
+            defined.append(f"%v{index}")
+    for name in forward:
+        separate()
+        pieces.append(f'{name} = "t.c"() : () -> (i32)')
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interleavings())
+def test_interleaved_runs_parse_as_the_token_path(text):
+    assert_parses_as_token_path(cmath_context(allow_unregistered=True), text)
 
 
 # ----------------------------------------------------------------------

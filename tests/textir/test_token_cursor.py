@@ -194,9 +194,10 @@ def test_cursor_holds_the_current_token_plus_at_most_one(monkeypatch,
     monkeypatch.setattr(TokenCursor, "next", counted_next)
     monkeypatch.setattr(TokenCursor, "seek", counted_seek)
     parse_module(context, synth_text)
-    # Each generic op is matched whole: the tokens lexed are each op's
-    # first, the module's own and each spelling's first reading.
-    assert (state["consumed"], state["lexed"]) == (157, 1_178)
+    # The module's ops are one run of generic ops, each matched whole:
+    # the tokens lexed are the module's own, one for the run and each
+    # spelling's first reading.
+    assert (state["consumed"], state["lexed"]) == (157, 179)
     assert state["most_ahead"] <= 2
 
 
@@ -207,10 +208,10 @@ def test_tokens_lexed_is_unchanged(synth_text):
     metrics = enable_metrics(MetricsRegistry())
     try:
         parse_module(_bench_context(), synth_text)
-        # The parser matches each one-line generic op whole and lexes
-        # only its first token, and each distinct signature and
-        # attribute dictionary once (docs/performance.md, "One-line
+        # The parser matches the module's one-line generic ops as one
+        # run, which costs one token, and lexes each distinct signature
+        # and attribute dictionary once (docs/performance.md, "One-line
         # generic ops").
-        assert metrics.value_of("textir.lexer.tokens") == 1_177
+        assert metrics.value_of("textir.lexer.tokens") == 178
     finally:
         reset()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.builtin import default_context
@@ -114,7 +116,7 @@ class TestIrgenCli:
         a, b = str(tmp_path / "a.irbc"), str(tmp_path / "b.irbc")
         assert irgen_main(["--ops", "200", "--seed", "6", "-o", a]) == 0
         assert irgen_main(["--ops", "200", "--seed", "6", "-o", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_op_count_and_lazy_open(self, tmp_path):
         from repro.bytecode import LazyModuleReader
