@@ -79,6 +79,7 @@ from repro.ir.region import MAX_NESTING, Region
 from repro.ir.value import SSAValue
 from repro.irdl import ast
 from repro.obs.instrument import OBS
+from repro.utils.collector import bulk_construction
 
 _SIGNEDNESS_FROM_CODE = {
     code: signedness for signedness, code in enc.SIGNEDNESS_CODE.items()
@@ -835,6 +836,7 @@ def _read_tables(context: Context, sections: dict[int, Reader], name: str):
     return string_table, attrs, locations, ops
 
 
+@bulk_construction
 @_wrap_errors
 def decode_module(
     context: Context, data: bytes, *, name: str = "<bytecode>"

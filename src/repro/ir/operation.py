@@ -22,6 +22,7 @@ from repro.ir.attributes import Attribute
 from repro.ir.exceptions import InvalidIRStructureError, VerifyError
 from repro.ir.location import UNKNOWN_LOC, Location
 from repro.ir.value import OpResult, SSAValue, add_uses, broken_use, drop_uses
+from repro.utils.collector import bulk_construction
 
 if TYPE_CHECKING:
     from repro.ir.block import Block
@@ -196,6 +197,7 @@ class Operation:
             result.replace_all_uses_with(value)
         self.erase()
 
+    @bulk_construction
     def clone(
         self, value_map: dict[SSAValue, SSAValue] | None = None
     ) -> "Operation":

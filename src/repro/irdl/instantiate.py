@@ -35,7 +35,7 @@ from repro.ir.dialect import (
     EnumBinding,
     OpDefBinding,
 )
-from repro.ir.exceptions import UnregisteredConstructError, VerifyError
+from repro.ir.exceptions import VerifyError
 from repro.ir.params import ArrayParam, FloatParam, StringParam
 from repro.ir.uniquer import intern as uniquer_intern
 from repro.irdl import ast, codegen
@@ -48,10 +48,16 @@ from repro.irdl.defs import DialectDef, OpDef, TypeDef
 from repro.irdl.format import FormatError, FormatProgram
 from repro.irdl.irdl_py import AttrProxy, compile_predicate
 from repro.irdl.parser import parse_irdl
-from repro.irdl.resolver import Scope, compile_py, resolve_dialect_body
+from repro.irdl.resolver import (
+    ResolutionError,
+    Scope,
+    compile_py,
+    resolve_dialect_body,
+)
 from repro.irdl.verifier import make_op_verifier
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS
+from repro.utils.collector import bulk_construction
 
 
 class DynamicAttrDef(AttrDefBinding):
@@ -208,6 +214,7 @@ class DynamicOpDef(OpDefBinding):
         return self.format_program.parse(parser)
 
 
+@bulk_construction
 def register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
     """Register one parsed IRDL dialect into a context.
 
@@ -233,8 +240,8 @@ def register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
 
 def _register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
     if context.get_dialect(decl.name) is not None:
-        raise UnregisteredConstructError(
-            f"dialect {decl.name!r} is already registered"
+        raise ResolutionError.at(
+            f"dialect {decl.name!r} is already registered", decl.span
         )
     binding = DialectBinding(decl.name)
 

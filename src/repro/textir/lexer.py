@@ -326,9 +326,10 @@ class TokenCursor:
         """Drop the held tokens and continue the stream at ``offset``.
 
         The caller vouches that ``offset`` is where a token (or trivia)
-        starts: the IR parser seeks past a generic op it has matched as
-        a whole, or to a spelling inside it that it converts token by
-        token (see ``IRParser.parse_operation``).
+        starts: the IR parser seeks once past a run of generic ops it
+        has matched as a whole (``IRParser._parse_ops``), or to a
+        spelling inside one that it converts token by token
+        (``IRParser._convert``).
         """
         self._pull = self.lexer.tokens(offset).__next__
         self._token = self._pull()

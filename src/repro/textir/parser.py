@@ -46,6 +46,7 @@ from repro.ir.value import SSAValue
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS
 from repro.textir.lexer import Token, TokenCursor, TokenKind
+from repro.utils.collector import bulk_construction
 from repro.utils.source import SourceFile
 
 _INT_TYPE_RE = re.compile(r"^(i|si|ui)([0-9]+)$")
@@ -1152,12 +1153,8 @@ class IRParser(TokenCursor):
             location=FileLineColLoc(self.source.name, 1, 1),
         )
 
-    def parse_single_op(self) -> Operation:
-        op = self.parse_operation()
-        self._check_no_pending()
-        return op
 
-
+@bulk_construction
 def parse_module(context: Context, text: str, name: str = "<input>") -> Operation:
     """Parse textual IR into a ``builtin.module`` operation."""
     parser = IRParser(context, text, name)

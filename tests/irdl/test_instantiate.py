@@ -3,7 +3,7 @@
 import pytest
 
 from repro.builtin import default_context, f32
-from repro.ir import Context, UnregisteredConstructError, VerifyError
+from repro.ir import Context, VerifyError
 from repro.irdl import register_irdl
 from repro.irdl.resolver import ResolutionError
 from repro.textir import parse_module
@@ -30,7 +30,7 @@ class TestRegistration:
     def test_duplicate_registration_rejected(self, cmath_ctx):
         from repro.corpus import cmath_source
 
-        with pytest.raises(UnregisteredConstructError, match="already"):
+        with pytest.raises(ResolutionError, match="already registered"):
             register_irdl(cmath_ctx, cmath_source())
 
     def test_failed_registration_rolls_back(self):

@@ -19,6 +19,7 @@ from repro.builtin import default_context
 from repro.irdl import register_irdl
 from repro.irdl.format import FormatError
 from repro.irdl.resolver import ResolutionError
+from repro.server.session import Session
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -115,3 +116,34 @@ def test_duplicate_constraint_variable_points_at_its_declaration():
         "    ConstraintVars (T: !i32, T: !f32)\n"
         "                             ^"
     )
+
+
+DUPLICATE = "Dialect arith { Operation foo { Operands () Results () } }\n"
+
+
+def test_a_dialect_named_like_a_registered_one_is_a_diagnostic(tmp_path):
+    session = Session()
+    before = dict(session.ctx.dialects)
+    arith_ops = dict(before["arith"].operations)
+    with pytest.raises(ResolutionError) as raised:
+        session.register_dialect_data(DUPLICATE.encode(), "dup.irdl")
+    assert str(raised.value) == (
+        "dup.irdl:1:1: error: dialect 'arith' is already registered\n"
+        f"{DUPLICATE.rstrip()}\n"
+        "^~~~~~~"
+    )
+    assert session.ctx.dialects == before
+    assert session.ctx.dialects["arith"].operations == arith_ops
+    assert session.dialects == []
+
+    (tmp_path / "dup.irdl").write_text(DUPLICATE, encoding="utf-8")
+    (tmp_path / "m.mlir").write_text('"builtin.module"() ({\n}) : () -> ()\n',
+                                     encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.tools.irdl_opt", "--irdl", "dup.irdl",
+         "m.mlir"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"{raised.value}\n"

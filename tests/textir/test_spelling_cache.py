@@ -79,13 +79,26 @@ def diagnostic(context, text, cached=True) -> str:
     return str(info.value)
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """``actual == expected``; a mismatch is reported by its first
+    differing line, since pytest's diff of two long texts takes minutes."""
+    if actual == expected:
+        return
+    pairs = itertools.zip_longest(actual.splitlines(keepends=True),
+                                  expected.splitlines(keepends=True))
+    for number, (got, want) in enumerate(pairs, 1):
+        if got != want:
+            pytest.fail(f"texts differ first at line {number}:\n"
+                        f"  actual:   {got!r}\n  expected: {want!r}")
+
+
 def assert_caches_do_not_show(context, text, repeats=True):
     parser, module = parse(context, text)
     reference, expected = parse(context, text, cached=False)
     assert not reference._signatures and not reference._attr_dicts
-    assert (print_op(module, print_locations=True)
-            == print_op(expected, print_locations=True))
-    assert print_op(module) == print_op(expected)
+    assert_same_text(print_op(module, print_locations=True),
+                     print_op(expected, print_locations=True))
+    assert_same_text(print_op(module), print_op(expected))
     assert encode_module(module) == encode_module(expected)
     if repeats:
         assert parser.lexer.tokens_lexed < reference.lexer.tokens_lexed
@@ -358,8 +371,8 @@ def assert_parses_as_token_path(context, text, matches=None):
         return
     parser, module = result
     reference, expected = parse(context, text, cached=False)
-    assert (print_op(module, print_locations=True)
-            == print_op(expected, print_locations=True))
+    assert_same_text(print_op(module, print_locations=True),
+                     print_op(expected, print_locations=True))
     assert encode_module(module) == encode_module(expected)
     assert name_hints(module) == name_hints(expected)
     assert parser.ops_parsed == reference.ops_parsed
@@ -592,14 +605,14 @@ def test_each_cache_stops_at_the_limit():
     assert len(parser._attr_dicts) == SPELLING_CACHE_LIMIT
     assert len(parser._signatures) == SPELLING_CACHE_LIMIT
     _, expected = parse(context, text, cached=False)
-    assert (print_op(module, print_locations=True)
-            == print_op(expected, print_locations=True))
+    assert_same_text(print_op(module, print_locations=True),
+                     print_op(expected, print_locations=True))
     assert len(module.regions[0].blocks[0].ops) == 1500
     # The printer's type spellings stop at the same size.
     printer = Printer()
     printer.print_op(module)
     assert len(printer._type_spellings) == SPELLING_CACHE_LIMIT
-    assert printer.getvalue() == print_op(expected)
+    assert_same_text(printer.getvalue(), print_op(expected))
 
 
 # ----------------------------------------------------------------------
