@@ -1,8 +1,9 @@
 """Benchmark gate for definition-time code generation (PR 4).
 
-Measures the generated verifiers that registration installs against the
-interpretive :meth:`repro.irdl.plan.VerificationPlan.run` reference they
-were lowered from, called directly.  Two workloads:
+Measures the generated verifiers that registration installs, each lowered
+on its first use, against the interpretive
+:meth:`repro.irdl.plan.VerificationPlan.run` reference they were lowered
+from, called directly.  Two workloads:
 
 * ``verify_kernel`` — repeated verification of a hot straight-line op
   (Eq operand/result constraints plus two attribute constraints), the
@@ -157,11 +158,14 @@ def _bench_corpus_mix(loops=30):
 
 
 def _collect_codegen_counters():
-    """Register the bench dialect under a metered registry."""
+    """Register the bench dialect under a metered registry, and lower
+    its op verifiers there (registration leaves them to first use)."""
     registry = enable_metrics(MetricsRegistry())
     try:
         context = default_context()
         register_irdl(context, BENCH_DIALECT.replace("bench", "benchm"))
+        for binding in context.dialects["benchm"].operations.values():
+            assert binding._verifier.generated_source
         snapshot = registry.snapshot()["counters"]
     finally:
         reset()

@@ -904,7 +904,14 @@ class _DialectReader:
             raise reader.error(f"invalid sigil code {code}")
         return _SIGIL_FROM_CODE[code]
 
-    def _expr(self, reader: Reader) -> ast.ConstraintExpr:
+    def _expr(self, reader: Reader, depth: int = 1) -> ast.ConstraintExpr:
+        """One constraint expression, ``depth`` levels deep counting
+        itself; past ``MAX_NESTING`` levels it is refused, as the IRDL
+        parser refuses it."""
+        if depth > MAX_NESTING:
+            raise reader.error(
+                f"constraints nest deeper than the limit of {MAX_NESTING}"
+            )
         tag = reader.varint()
         if tag == enc.EXPR_REF:
             sigil = self._sigil(reader)
@@ -915,7 +922,7 @@ class _DialectReader:
                 count = reader.bounded_varint(
                     reader.remaining + 1, "parameter count"
                 )
-                params = [self._expr(reader) for _ in range(count)]
+                params = [self._expr(reader, depth + 1) for _ in range(count)]
             return ast.RefExpr(sigil, ref_name, params)
         if tag == enc.EXPR_INT_LITERAL:
             value = reader.signed()
@@ -926,7 +933,8 @@ class _DialectReader:
             count = reader.bounded_varint(
                 reader.remaining + 1, "list length"
             )
-            return ast.ListExpr([self._expr(reader) for _ in range(count)])
+            return ast.ListExpr(
+                [self._expr(reader, depth + 1) for _ in range(count)])
         raise reader.error(f"unknown constraint expression tag {tag}")
 
     def _param_decl(self, reader: Reader) -> ast.ParamDecl:

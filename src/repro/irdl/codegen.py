@@ -3,11 +3,15 @@
 The paper's deployment story (§5) is that IRDL definitions are *compiled*
 — lowered through ODS into straight-line C++ verifiers — rather than
 interpreted.  This module brings that compilation step to the
-reproduction: at dialect-registration time each
-:class:`~repro.irdl.defs.OpDef` (and each type/attribute definition's
-parameter list) is lowered to generated Python source — one flat,
-specialized verifier function per definition — compiled once with
-``compile()``/``exec`` and installed as the definition's verifier.
+reproduction: each :class:`~repro.irdl.defs.OpDef` and each
+type/attribute definition's parameter list is lowered to generated
+Python source — one flat, specialized verifier function per definition —
+compiled once with ``compile()``/``exec`` and installed as the
+definition's verifier.  Parameter lists are lowered when their dialect
+is registered; an ``OpDef`` is lowered the first time an operation of
+its kind is verified, or its generated source is read
+(:class:`~repro.irdl.verifier.LazyOpVerifier`), so a program lowers only
+the operation kinds it verifies.
 
 What the generated code specializes away, relative to the interpretive
 :class:`~repro.irdl.plan.VerificationPlan`:
@@ -38,16 +42,18 @@ of one *shape* (arity, variadicity, constraint kinds, attribute count)
 therefore produce the same text, which :func:`shared_code` compiles once
 per process through a bounded LRU cache; each definition only ``exec``s
 the shared code object into its own constant namespace, and
-``irdl.codegen.code_reused`` counts the definitions that did.  Within
-one registration of the 28-dialect corpus 631 of 1,034 definitions
-reuse an earlier shape; a second registration in the same process
-reuses every one.
+``irdl.codegen.code_reused`` counts the definitions that did.  Lowering
+all 1,034 definitions of one registration of the 28-dialect corpus,
+631 reuse an earlier shape; lowering those of a second registration in
+the same process reuses every one.
 
 Soundness leans on the same two invariants as the constraint memo:
 constraints and attributes are immutable, and uniqued attribute storage
 makes identity a sound fast path for equality.
 
-Registration always installs the generated verifiers.  The interpretive
+The generated verifiers are the only production path: registration
+installs the parameter verifiers, and each operation's generated verifier
+replaces its lazy one on first use.  The interpretive
 :meth:`VerificationPlan.run <repro.irdl.plan.VerificationPlan.run>` and
 :func:`repro.irdl.plan.verify_parameters` remain as test oracles:
 ``tests/irdl/test_codegen_differential.py`` proves the generated

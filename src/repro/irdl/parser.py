@@ -23,6 +23,7 @@ accepted; the embedded code is Python either way (IRDL-Py, see DESIGN.md).
 
 from __future__ import annotations
 
+from repro.ir.region import MAX_NESTING
 from repro.irdl import ast
 from repro.textir.lexer import Token, TokenCursor, TokenKind
 from repro.utils.source import SourceFile
@@ -50,6 +51,8 @@ class IRDLParser(TokenCursor):
         if isinstance(source, str):
             source = SourceFile(source, name)
         super().__init__(source)
+        #: How many constraint expressions enclose the one being parsed.
+        self._nesting = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -374,7 +377,23 @@ class IRDLParser(TokenCursor):
     # ------------------------------------------------------------------
 
     def parse_constraint_expr(self) -> ast.ConstraintExpr:
+        """One constraint expression; one nested more than
+        ``MAX_NESTING`` deep is reported at its first token, before
+        anything recurses further."""
         token = self.peek()
+        depth = self._nesting
+        if depth == MAX_NESTING:
+            raise self.error(
+                f"constraints nest deeper than the limit of {MAX_NESTING}",
+                token,
+            )
+        self._nesting = depth + 1
+        try:
+            return self._constraint_expr(token)
+        finally:
+            self._nesting = depth
+
+    def _constraint_expr(self, token: Token) -> ast.ConstraintExpr:
         if token.kind is TokenKind.MINUS or token.kind is TokenKind.INTEGER:
             return self._parse_int_literal()
         if token.kind is TokenKind.STRING:

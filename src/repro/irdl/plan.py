@@ -17,7 +17,8 @@ Each :class:`~repro.irdl.defs.OpDef` is analysed once into a
   a given shape verifies its types with dictionary hits.
 
 The plan is the input :mod:`repro.irdl.codegen` lowers to a generated
-verifier, and registration installs only that generated function.
+verifier, when an operation of its kind is first verified; only that
+generated function ever verifies operations in production.
 :meth:`VerificationPlan.run` and :func:`verify_parameters` are the
 interpretive references the generated operation and parameter verifiers
 are tested against (``tests/irdl/test_codegen_differential.py``); no

@@ -44,7 +44,8 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "irdl.verifier.memo_hits": "constraint memo hits",
     "irdl.verifier.memo_misses": "constraint memo misses",
     "irdl.codegen.definitions_compiled": "definitions lowered to "
-    "generated Python verifiers",
+    "generated Python verifiers (parameter lists at registration, "
+    "operations on first verification)",
     "irdl.codegen.source_bytes": "generated verifier source bytes",
     "irdl.codegen.code_reused": "definitions whose code object came "
     "from the shared-code cache",

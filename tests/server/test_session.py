@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir.exceptions import VerifyError
+from repro.utils.diagnostics import DiagnosticError
 from repro.server.session import Session
 from tests.server.conftest import BAD_IR, GOOD_IR, TOY_DIALECT
 
@@ -39,6 +40,47 @@ class TestRegistration:
         a.register_dialect_data(TOY_DIALECT.encode())
         assert "toy" in a.ctx.dialects
         assert "toy" not in b.ctx.dialects
+
+
+#: A payload whose second dialect collides with the builtin ``arith``.
+FRESH = """
+Dialect fresh {
+  Operation op {
+    Results(out: !i32)
+  }
+}
+"""
+FRESH_THEN_ARITH = FRESH + """
+Dialect arith {
+  Operation other {}
+}
+"""
+
+
+class TestAllOrNoneRegistration:
+    @pytest.mark.parametrize("encoding", ["text", "bytecode"])
+    def test_a_failing_dialect_unregisters_the_payloads_earlier_ones(
+        self, encoding
+    ):
+        from repro.bytecode import encode_dialects
+        from repro.irdl.parser import parse_irdl
+
+        payload = FRESH_THEN_ARITH.encode()
+        if encoding == "bytecode":
+            payload = encode_dialects(parse_irdl(FRESH_THEN_ARITH))
+        session = Session()
+        arith = session.ctx.dialects["arith"]
+        with pytest.raises(DiagnosticError,
+                           match="dialect 'arith' is already registered"):
+            session.register_dialect_data(payload, "fresh.irdl")
+        assert "fresh" not in session.ctx.dialects
+        assert session.ctx.dialects["arith"] is arith
+        assert session.dialects == []
+
+        defs = session.register_dialect_data(FRESH.encode(), "fresh.irdl")
+        assert [d.name for d in defs] == ["fresh"]
+        assert session.dialects == defs
+        assert session.ctx.get_op_def("fresh.op") is not None
 
 
 class TestPipeline:
