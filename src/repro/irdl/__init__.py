@@ -29,6 +29,7 @@ from repro.irdl.defs import (
 from repro.irdl.instantiate import (
     load_irdl_file,
     register_dialect,
+    register_dialects,
     register_irdl,
 )
 from repro.irdl.parser import IRDLParser, parse_irdl
@@ -49,6 +50,7 @@ __all__ = [
     "TypeDef",
     "load_irdl_file",
     "register_dialect",
+    "register_dialects",
     "register_irdl",
     "IRDLParser",
     "parse_irdl",

@@ -19,6 +19,9 @@ JSON protocol of :mod:`repro.server.protocol`.  Architecture:
   and pipeline work runs on a bounded thread pool, serialized
   *per tenant* by a tenant lock (the shared caches underneath are
   themselves thread-safe — see ``tests/obs/test_thread_safety.py``).
+  A registration whose payload is already compiled is answered on the
+  loop when its tenant is idle: it installs shared bindings, which costs
+  less than the hop to a worker thread.
   Each request is bounded by a wall-clock timeout; an expired request
   gets a structured ``timeout`` reply while its worker thread is
   abandoned to finish in the background.
@@ -49,7 +52,11 @@ from repro.ir.exceptions import UnregisteredConstructError, VerifyError
 from repro.obs.instrument import OBS
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
-from repro.server.cache import DEFAULT_CAPACITY, DialectCache
+from repro.server.cache import (
+    DEFAULT_CAPACITY,
+    CompiledDialects,
+    DialectCache,
+)
 from repro.server.protocol import ErrorCode, FrameError
 from repro.server.session import Session
 from repro.utils.diagnostics import DiagnosticError
@@ -311,6 +318,10 @@ class DialectServer:
             return protocol.ok_response(request_id, {"pong": True})
 
         tenant = self._tenant(request)
+        if request_type == "register_dialect":
+            response = self._register_cached(request_id, tenant, request)
+            if response is not None:
+                return response
         handler = self._handlers[request_type]
         return await self._in_worker(request_id, tenant, handler, request)
 
@@ -349,35 +360,61 @@ class DialectServer:
                 f"request exceeded the {self.request_timeout:g}s budget "
                 "(its worker thread was abandoned)",
             )
-        except FrameError as err:
-            return protocol.error_response(request_id, err.code, str(err))
-        except VerifyError as err:
-            return protocol.error_response(
-                request_id, ErrorCode.VERIFY_ERROR, str(err),
-                detail=type(err).__name__,
-            )
-        except UnregisteredConstructError as err:
-            return protocol.error_response(
-                request_id, ErrorCode.DIALECT_ERROR, str(err),
-                detail=type(err).__name__,
-            )
-        except DiagnosticError as err:
-            # Rendered diagnostics (carets and all) travel in the reply.
-            return protocol.error_response(
-                request_id, ErrorCode.PARSE_ERROR, str(err),
-                detail=type(err).__name__,
-            )
-        except ValueError as err:
-            return protocol.error_response(
-                request_id, ErrorCode.PIPELINE_ERROR, str(err),
-                detail=type(err).__name__,
-            )
         except Exception as err:  # noqa: BLE001 — the server must survive
+            return self._error_response(request_id, err)
+
+    def _register_cached(self, request_id: Any, tenant: Tenant,
+                         request: dict) -> dict | None:
+        """Answer, on the loop, a ``register_dialect`` whose payload is
+        already compiled, when its tenant is idle.
+
+        A cache hit only installs shared bindings, a few dictionary
+        inserts, which costs less than the hop to a worker thread and
+        back.  None sends the request down the worker path: the tenant
+        is busy, the payload is malformed or not yet compiled.
+        """
+        if not tenant.lock.acquire(blocking=False):
+            return None
+        try:
+            try:
+                data = protocol.extract_payload(request, "irdl", "irdl_b64")
+            except FrameError:
+                return None
+            compiled = None if data is None else self.cache.lookup(data)
+            if compiled is None:
+                return None
+            tenant.requests += 1
+            try:
+                result = self._install_compiled(tenant, request, data,
+                                                compiled, hit=True)
+            except Exception as err:  # noqa: BLE001 — as on the pool
+                return self._error_response(request_id, err)
+            return protocol.ok_response(request_id, result)
+        finally:
+            tenant.lock.release()
+
+    def _error_response(self, request_id: Any, err: Exception) -> dict:
+        """The structured reply to a handler's exception."""
+        if isinstance(err, FrameError):
+            return protocol.error_response(request_id, err.code, str(err))
+        if isinstance(err, VerifyError):
+            code = ErrorCode.VERIFY_ERROR
+        elif isinstance(err, UnregisteredConstructError):
+            code = ErrorCode.DIALECT_ERROR
+        elif isinstance(err, DiagnosticError):
+            # Rendered diagnostics (carets and all) travel in the reply.
+            code = ErrorCode.PARSE_ERROR
+        elif isinstance(err, ValueError):
+            code = ErrorCode.PIPELINE_ERROR
+        else:
             self._dump_flight_recorder(err)
             return protocol.error_response(
                 request_id, ErrorCode.INTERNAL,
                 f"{type(err).__name__}: {err}",
             )
+        return protocol.error_response(
+            request_id, code, str(err), detail=type(err).__name__
+        )
 
     @staticmethod
     def _dump_flight_recorder(err: Exception) -> None:
@@ -408,10 +445,14 @@ class DialectServer:
                 "register_dialect needs 'irdl' (text) or 'irdl_b64' "
                 "(bytecode)",
             )
-        replace = bool(request.get("replace", False))
         compiled, hit = self.cache.get_or_compile(
             data, name=request.get("name", "<irdl>")
         )
+        return self._install_compiled(tenant, request, data, compiled, hit)
+
+    def _install_compiled(self, tenant: Tenant, request: dict, data: bytes,
+                          compiled: CompiledDialects, hit: bool) -> dict:
+        replace = bool(request.get("replace", False))
         session = tenant.session
         clashing = [n for n in compiled.names if n in session.ctx.dialects]
         if clashing and not replace:

@@ -46,6 +46,35 @@ class TestRegistration:
         # The context remains usable and the name is free again.
         register_irdl(ctx, "Dialect broken { Type fine {} }")
 
+    @pytest.mark.parametrize("encoding", ["text", "bytecode"])
+    def test_a_failing_dialect_unregisters_the_earlier_ones(
+        self, encoding, tmp_path
+    ):
+        from repro.bytecode import encode_dialects
+        from repro.irdl import load_irdl_file, parse_irdl
+
+        fresh = "Dialect fresh { Operation op { Results(out: !i32) } }\n"
+        source = fresh + "Dialect arith { Operation other {} }\n"
+        path = tmp_path / "fresh.irdl"
+        if encoding == "text":
+            path.write_text(source)
+        else:
+            path.write_bytes(encode_dialects(parse_irdl(source)))
+        ctx = default_context()
+        arith = ctx.dialects["arith"]
+        with pytest.raises(ResolutionError,
+                           match="dialect 'arith' is already registered"):
+            register_irdl(ctx, source)
+        with pytest.raises(ResolutionError,
+                           match="dialect 'arith' is already registered"):
+            load_irdl_file(ctx, str(path))
+        assert ctx.get_dialect("fresh") is None
+        assert ctx.dialects["arith"] is arith
+
+        defs = register_irdl(ctx, fresh)
+        assert [d.name for d in defs] == ["fresh"]
+        assert ctx.get_op_def("fresh.op") is not None
+
     def test_type_parameter_verification_on_instantiate(self, cmath_ctx):
         from repro.builtin import i32
 

@@ -250,6 +250,62 @@ class TestMultiTenancy:
         run(scenario())
 
 
+class _NoPool:
+    """Stands in for the worker pool where no request may reach it."""
+
+    def submit(self, *args, **kwargs):
+        raise AssertionError("request reached the worker pool")
+
+
+class TestCachedRegistration:
+    def test_a_hit_is_answered_without_a_worker(self, cmath_text):
+        async def scenario():
+            async with running_server() as server:
+                async with await ServerClient.connect(
+                    server.host, server.port, tenant="a"
+                ) as a, await ServerClient.connect(
+                    server.host, server.port, tenant="b"
+                ) as b:
+                    cold = await a.register_dialect(cmath_text)
+                    assert cold["cache_hit"] is False
+                    pool, server._pool = server._pool, _NoPool()
+                    try:
+                        warm = await b.register_dialect(cmath_text)
+                        with pytest.raises(ServerError) as excinfo:
+                            await b.register_dialect(cmath_text)
+                    finally:
+                        server._pool = pool
+                    assert warm["cache_hit"] is True
+                    assert warm["key"] == cold["key"]
+                    assert excinfo.value.code == ErrorCode.DIALECT_ERROR
+                    assert "already registered" in str(excinfo.value)
+                    assert server.tenants["b"].requests == 2
+                    assert (await b.verify(GOOD_IR))["verified"]
+
+        run(scenario())
+
+    def test_a_hit_for_a_busy_tenant_waits_for_it(self, cmath_text):
+        async def scenario():
+            async with running_server() as server:
+                async with await ServerClient.connect(
+                    server.host, server.port, tenant="a"
+                ) as a:
+                    await a.register_dialect(cmath_text)
+                    tenant = server.tenants["a"]
+                    tenant.lock.acquire()
+                    loop = asyncio.get_running_loop()
+                    start = loop.time()
+                    loop.call_later(0.05, tenant.lock.release)
+                    reloaded = await a.register_dialect(cmath_text,
+                                                        replace=True)
+                    assert loop.time() - start >= 0.05
+                    assert reloaded["cache_hit"] is True
+                    assert reloaded["replaced"] is True
+                    assert tenant.requests == 2
+
+        run(scenario())
+
+
 class TestRobustness:
     def test_graceful_drain_delivers_inflight_response(self):
         """A slow request racing shutdown still gets its reply."""
