@@ -92,7 +92,13 @@ class ConstraintMemo:
             and entry[0] is constraint
             and entry[1] is value
         ):
-            self._entries.move_to_end(key)
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:
+                # Another thread's record evicted the entry since the
+                # read; the identity check already proved this exact
+                # pair passed, so the hit stands without the reorder.
+                pass
             self.hits += 1
             if OBS.metrics.enabled:
                 OBS.metrics.counter("irdl.verifier.memo_hits").inc()

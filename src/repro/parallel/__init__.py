@@ -12,6 +12,10 @@ no process ever materializes the whole module.
 Diagnostics are merged back in deterministic top-level-op order and
 are byte-for-byte identical to the serial reference
 (:func:`verify_module_serial`), which the differential tests pin.
+
+``irdl-opt`` and the dialect server verify in process through
+``Session.verify``; this package serves the library API and the
+end-to-end benchmark's ``parallel.verify.*`` probe.
 """
 
 from repro.parallel.verify import (

@@ -53,10 +53,10 @@ class VerifyReport:
 
 
 def effective_workers(requested: int) -> int:
-    """Resolve a ``--parallel[=N]`` request to a worker count.
+    """Resolve a ``workers`` argument to a worker count.
 
-    ``0`` (bare ``--parallel``) means "one per CPU"; anything else is
-    clamped to ``[1, MAX_WORKERS]``.
+    ``0`` means "one per CPU"; anything else is clamped to
+    ``[1, MAX_WORKERS]``.
     """
     if requested <= 0:
         requested = os.cpu_count() or 1
@@ -123,16 +123,11 @@ def verify_module_serial(root: Operation) -> VerifyReport:
     return report
 
 
-def _build_context(base: str, payloads: list[bytes]):
+def _build_context(payloads: list[bytes]):
     """Rebuild a verification context from pickled dialect payloads."""
     from repro.server.session import Session
 
-    if base == "bare":
-        from repro.ir.context import Context
-
-        session = Session(Context())
-    else:
-        session = Session()
+    session = Session()
     for i, payload in enumerate(payloads):
         session.register_dialect_data(payload, f"<shard-dialect-{i}>")
     return session.ctx
@@ -148,7 +143,7 @@ def _run_shard(task: dict) -> dict:
     try:
         from repro.bytecode.lazy import LazyModuleReader
 
-        context = _build_context(task["base"], task["payloads"])
+        context = _build_context(task["payloads"])
         diags: list[tuple[int, str, str]] = []
         with LazyModuleReader.open(context, task["path"]) as reader:
             for index in range(task["start"], task["end"]):
@@ -179,18 +174,15 @@ def shard_verify_file(
     *,
     workers: int = 0,
     dialect_payloads: list[bytes] | None = None,
-    base: str = "default",
 ) -> VerifyReport:
     """Verify an indexed bytecode module with sharded worker processes.
 
     ``path`` must be a seekable bytecode artifact carrying the op-index
-    section (raises :class:`~repro.bytecode.wire.BytecodeError` through
-    the lazy reader otherwise — callers that want an eager fallback
-    check ``LazyModuleReader.lazy`` themselves).  ``dialect_payloads``
+    section; an artifact without one raises
+    :class:`~repro.bytecode.wire.BytecodeError`.  ``dialect_payloads``
     are raw IRDL payloads (text or IRBC) re-registered inside each
-    worker on top of ``base`` (``"default"`` for the builtin context,
-    ``"bare"`` for an empty one).  ``workers=0`` means one per CPU;
-    ``workers=1`` runs the identical shard code in-process.
+    worker on top of the builtin context.  ``workers=0`` means one per
+    CPU; ``workers=1`` runs the identical shard code in-process.
 
     Returns a :class:`VerifyReport` whose diagnostics are sorted by
     top-level entry index — the same order and messages the serial
@@ -213,7 +205,7 @@ def shard_verify_file(
         # that drive the balanced partition.
         from repro.bytecode.lazy import LazyModuleReader
 
-        context = _build_context(base, payloads)
+        context = _build_context(payloads)
         with LazyModuleReader.open(context, path) as reader:
             if not reader.lazy:
                 from repro.bytecode.wire import BytecodeError
@@ -229,7 +221,6 @@ def shard_verify_file(
             {
                 "path": path,
                 "payloads": payloads,
-                "base": base,
                 "start": lo,
                 "end": hi,
             }

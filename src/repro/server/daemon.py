@@ -93,21 +93,6 @@ class Tenant:
         self.lock = threading.Lock()
         self.created = time.time()
         self.requests = 0
-        #: Raw register_dialect payloads (dialect names → bytes), kept
-        #: so sharded-verify worker processes can rebuild this tenant's
-        #: context from scratch.  Hot reloads evict superseded entries.
-        self.dialect_payloads: list[tuple[tuple[str, ...], bytes]] = []
-
-    def record_dialect_payload(
-        self, names: tuple[str, ...], data: bytes, replace: bool
-    ) -> None:
-        if replace:
-            stale = set(names)
-            self.dialect_payloads = [
-                entry for entry in self.dialect_payloads
-                if not stale.intersection(entry[0])
-            ]
-        self.dialect_payloads.append((names, bytes(data)))
 
     def info(self) -> dict[str, Any]:
         return {
@@ -385,8 +370,8 @@ class DialectServer:
                 return None
             tenant.requests += 1
             try:
-                result = self._install_compiled(tenant, request, data,
-                                                compiled, hit=True)
+                result = self._install_compiled(tenant, request, compiled,
+                                                hit=True)
             except Exception as err:  # noqa: BLE001 — as on the pool
                 return self._error_response(request_id, err)
             return protocol.ok_response(request_id, result)
@@ -448,9 +433,9 @@ class DialectServer:
         compiled, hit = self.cache.get_or_compile(
             data, name=request.get("name", "<irdl>")
         )
-        return self._install_compiled(tenant, request, data, compiled, hit)
+        return self._install_compiled(tenant, request, compiled, hit)
 
-    def _install_compiled(self, tenant: Tenant, request: dict, data: bytes,
+    def _install_compiled(self, tenant: Tenant, request: dict,
                           compiled: CompiledDialects, hit: bool) -> dict:
         replace = bool(request.get("replace", False))
         session = tenant.session
@@ -462,9 +447,6 @@ class DialectServer:
             )
         for binding, dialect_def in zip(compiled.bindings, compiled.defs):
             session.install_binding(binding, dialect_def, replace=replace)
-        tenant.record_dialect_payload(
-            tuple(compiled.names), data, replace=bool(clashing)
-        )
         return {
             "dialects": list(compiled.names),
             "cache_hit": hit,
@@ -492,89 +474,9 @@ class DialectServer:
         return self._emit(tenant, module, request)
 
     def _do_verify(self, tenant: Tenant, request: dict) -> dict:
-        workers = request.get("workers")
-        if workers is not None:
-            if (not isinstance(workers, int) or isinstance(workers, bool)
-                    or workers < 0):
-                raise FrameError(
-                    ErrorCode.BAD_REQUEST,
-                    "'workers' must be a non-negative integer",
-                )
-            return self._verify_sharded(tenant, request, workers)
         module = self._load(tenant, request)
         tenant.session.verify(module)
         return {"verified": True, "ops": sum(1 for _ in module.walk())}
-
-    def _verify_sharded(
-        self, tenant: Tenant, request: dict, workers: int
-    ) -> dict:
-        """The ``verify`` request with ``workers``: sharded over the
-        bytecode op-index in separate processes, diagnostics collected
-        instead of failing on the first violation.  Textual or
-        index-less payloads degrade to the serial path with the reason
-        reported in the response."""
-        data = protocol.extract_payload(request, "ir", "ir_b64")
-        if data is None:
-            raise FrameError(
-                ErrorCode.BAD_REQUEST,
-                "request needs 'ir' (text) or 'ir_b64' (bytecode)",
-            )
-        from repro.bytecode import BytecodeError, is_bytecode
-
-        fallback = None
-        report = None
-        if not is_bytecode(data):
-            fallback = "payload is textual IR, not indexed bytecode"
-        else:
-            import os
-            import tempfile
-
-            from repro.parallel import shard_verify_file
-
-            fd, path = tempfile.mkstemp(
-                prefix="repro-verify-", suffix=".irbc"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                try:
-                    report = shard_verify_file(
-                        path,
-                        workers=workers,
-                        dialect_payloads=[
-                            payload
-                            for _, payload in tenant.dialect_payloads
-                        ],
-                    )
-                except BytecodeError as err:
-                    if "op-index" not in str(err):
-                        raise
-                    fallback = "artifact has no op-index section"
-            finally:
-                os.unlink(path)
-        if report is None:
-            module = self._load(tenant, request)
-            tenant.session.verify(module)
-            return {
-                "verified": True,
-                "ops": sum(1 for _ in module.walk()),
-                "workers": 1,
-                "fallback": fallback,
-            }
-        return {
-            "verified": not report.diagnostics,
-            "ops": report.ops,
-            "workers": report.workers,
-            "shards": report.shards,
-            "diagnostics": [
-                {
-                    "index": diag.entry_index,
-                    "op": diag.op_name,
-                    "message": diag.message,
-                }
-                for diag in report.diagnostics
-            ],
-        }
 
     def _do_rewrite(self, tenant: Tenant, request: dict) -> dict:
         module = self._load(tenant, request)

@@ -57,6 +57,8 @@ _PARAM_INT_RE = re.compile(r"^(u?)int(8|16|32|64)_t$")
 # mechanism shaped types like ``tensor<4x?xf32>`` rely on).
 _HEX_FLOAT_BITS_RE = re.compile(r"^x[0-9A-Fa-f]{1,16}$")
 _NUMBER_KINDS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS)
+# ``IntegerAttr`` stores its value as a signed 64-bit integer.
+_INT64_MIN, _INT64_MAX = IntegerParam.value_range(64, True)
 
 # A generic op on one line, in the form the printer writes:
 #
@@ -553,8 +555,11 @@ class IRParser(TokenCursor):
                 # ``42 : i64``: a typed integer attribute, printed as such
                 # when it is an element of an attribute-array parameter.
                 self.next()  # ':'
-                return battrs.IntegerAttr.get(value, self._type())
-        return IntegerParam(value, bitwidth, signed)
+                return self._integer_attr(value, self._type(), token)
+        try:
+            return IntegerParam(value, bitwidth, signed)
+        except ValueError as err:
+            raise self.error(str(err), token) from err
 
     def _parse_enum_param(self) -> EnumParam:
         enum_token = self.expect(TokenKind.BARE_IDENT, "enum name")
@@ -686,8 +691,20 @@ class IRParser(TokenCursor):
             attr_type = self._type()
             if isinstance(attr_type, btypes.FloatType):
                 return battrs.FloatAttr.get(float(int_value), attr_type)
-            return battrs.IntegerAttr.get(int_value, attr_type)
-        return battrs.IntegerAttr.get(int_value)
+            return self._integer_attr(int_value, attr_type, token)
+        return self._integer_attr(int_value, None, token)
+
+    def _integer_attr(self, value: int, value_type: Attribute | None,
+                      token: Token) -> Attribute:
+        """``IntegerAttr.get(value, value_type)``; a literal past the
+        int64 storage is an error at its ``token``."""
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise self.error(
+                f"integer literal {value} is outside the signed 64-bit "
+                "range integer attributes store",
+                token,
+            )
+        return battrs.IntegerAttr.get(value, value_type)
 
     def _parse_dictionary_attribute(self) -> Attribute:
         self.expect(TokenKind.LBRACE, "'{'")

@@ -168,17 +168,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--no-verify", action="store_true", help="skip verification"
     )
     parser.add_argument(
-        "--parallel",
-        nargs="?",
-        const=0,
-        type=int,
-        metavar="N",
-        help="verify with N worker processes sharded over the bytecode "
-        "op-index section (bare --parallel sizes N to the CPU count); "
-        "stdin, textual, and index-less inputs fall back to serial "
-        "verification with a remark",
-    )
-    parser.add_argument(
         "--dump-generated",
         metavar="OP",
         help="print the generated Python verifier source for a "
@@ -666,58 +655,6 @@ def _dump_flight_recorder() -> None:
               file=sys.stderr)
 
 
-def _parallel_fallback(reason: str) -> None:
-    """Record why --parallel degraded to serial verification.
-
-    The remark makes the decision visible in --remarks-out streams; the
-    stderr note covers runs without observability enabled.
-    """
-    from repro.obs import OBS
-
-    if OBS.remarks.enabled:
-        OBS.remarks.emit(
-            "missed",
-            origin="bytecode",
-            name="lazy-fallback",
-            message=reason,
-        )
-    print(f"note: --parallel: {reason}; verifying serially",
-          file=sys.stderr)
-
-
-def _parallel_verify(args: argparse.Namespace, raw: bytes,
-                     dialect_payloads: list[bytes]):
-    """Run sharded verification when the input supports it.
-
-    Returns a :class:`~repro.parallel.VerifyReport`, or ``None`` when
-    the input cannot take the lazy/mmap path (stdin, textual IR, or an
-    artifact without the op-index section) — the caller then verifies
-    the already-decoded module serially.
-    """
-    from repro.bytecode import is_bytecode
-
-    if args.input == "-":
-        _parallel_fallback("input is stdin (non-seekable)")
-        return None
-    if not is_bytecode(raw):
-        _parallel_fallback("input is textual IR, not indexed bytecode")
-        return None
-    from repro.bytecode import BytecodeError
-    from repro.parallel import shard_verify_file
-
-    try:
-        return shard_verify_file(
-            args.input,
-            workers=args.parallel,
-            dialect_payloads=dialect_payloads,
-        )
-    except BytecodeError as err:
-        if "op-index" in str(err):
-            _parallel_fallback("artifact has no op-index section")
-            return None
-        raise
-
-
 def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:
     # The CLI and the dialect server share the Session pipeline object,
     # so an invocation here exercises exactly the code path a server
@@ -727,9 +664,6 @@ def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:
     session = Session()
     ctx = session.ctx
     stdin = _StdinOnce()
-    # The raw --irdl payloads are retained so --parallel workers can
-    # rebuild an identical context in their own processes.
-    dialect_payloads: list[bytes] = []
     with observation.phase("register-dialects"):
         for irdl_path in args.irdl:
             try:
@@ -740,7 +674,6 @@ def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:
                     with open(irdl_path, "rb") as handle:
                         payload = handle.read()
                     session.register_dialect_data(payload, irdl_path)
-                dialect_payloads.append(payload)
             except DiagnosticError as err:
                 print(err, file=sys.stderr)
                 return 1
@@ -810,40 +743,18 @@ def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:
         return 1
 
     if not args.no_verify:
-        report = None
-        if args.parallel is not None:
-            with observation.phase("verify-parallel"):
-                report = _parallel_verify(args, raw, dialect_payloads)
-        if report is not None:
-            if report.diagnostics:
-                first = report.diagnostics[0]
-                if args.verify_diagnostics:
-                    print(f"verification failed as expected: "
-                          f"{first.message}")
-                    return 0
-                for diag in report.diagnostics:
-                    print(f"error: verification failed: op "
-                          f"#{diag.entry_index} ({diag.op_name}): "
-                          f"{diag.message}", file=sys.stderr)
-                return 1
+        try:
+            with observation.phase("verify"):
+                session.verify(module)
+        except VerifyError as err:
             if args.verify_diagnostics:
-                print("error: expected verification to fail",
-                      file=sys.stderr)
-                return 1
-        else:
-            try:
-                with observation.phase("verify"):
-                    session.verify(module)
-            except VerifyError as err:
-                if args.verify_diagnostics:
-                    print(f"verification failed as expected: {err}")
-                    return 0
-                print(f"error: verification failed: {err}", file=sys.stderr)
-                return 1
-            if args.verify_diagnostics:
-                print("error: expected verification to fail",
-                      file=sys.stderr)
-                return 1
+                print(f"verification failed as expected: {err}")
+                return 0
+            print(f"error: verification failed: {err}", file=sys.stderr)
+            return 1
+        if args.verify_diagnostics:
+            print("error: expected verification to fail", file=sys.stderr)
+            return 1
 
     if args.patterns:
         all_patterns = []

@@ -2,22 +2,29 @@
 
 The dialect server runs handler work on a thread pool, so the pieces
 every tenant shares — the attribute uniquer, the metrics instruments,
-and the event ring — must tolerate concurrent mutation.  These tests
-hammer each from many worker threads and assert *exact* outcomes
-(counts, identities, gap-free sequence numbers), which lost updates
-would violate with overwhelming probability.
+the event ring and the verifier's constraint memo — must tolerate
+concurrent mutation.  These tests hammer each from many worker threads
+and assert *exact* outcomes (counts, identities, gap-free sequence
+numbers), which lost updates would violate with overwhelming
+probability.
 """
 
+import sys
 import threading
+from collections import OrderedDict
 
 from repro.builtin.attributes import IntegerAttr
-from repro.builtin.types import IntegerType
+from repro.builtin.types import IntegerType, i32
 from repro.ir.uniquer import AttributeUniquer
+from repro.irdl.constraints import AnyTypeConstraint
+from repro.irdl.plan import ConstraintMemo
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import EventRing
 
 THREADS = 8
 ROUNDS = 200
+#: Seconds each worker thread may take before the test fails.
+JOIN_TIMEOUT = 60
 
 
 def hammer(worker):
@@ -37,7 +44,8 @@ def hammer(worker):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(JOIN_TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
 
 
@@ -188,3 +196,45 @@ class TestEventRing:
                     ring.push("hammer", thread=index, round=round_)
 
         hammer(worker)
+
+
+class TestConstraintMemo:
+    """``ConstraintMemo.hit`` reads an entry and then moves it to the
+    recent end; another thread's ``record`` can evict it in between."""
+
+    def test_hit_survives_an_eviction_before_its_reorder(self):
+        class EvictingEntries(OrderedDict):
+            # Drops the key first, as another thread's record does when
+            # it evicts the entry between hit's read and its reorder.
+            def move_to_end(self, key, last=True):
+                del self[key]
+                super().move_to_end(key, last)
+
+        memo = ConstraintMemo(maxsize=4)
+        memo._entries = EvictingEntries()
+        constraint = AnyTypeConstraint()
+        memo.record(constraint, i32)
+        assert memo.hit(constraint, i32)
+        assert memo.hits == 1 and len(memo) == 0
+
+    def test_concurrent_hits_and_records_on_a_full_memo(self):
+        memo = ConstraintMemo(maxsize=64)
+        constraint = AnyTypeConstraint()
+        # More values than the memo holds, so records keep evicting
+        # entries that other threads are hitting.
+        values = [object() for _ in range(70)]
+
+        def worker(index):
+            for step in range(40_000):
+                value = values[(step * 7 + index) % len(values)]
+                if not memo.hit(constraint, value):
+                    memo.record(constraint, value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 < len(memo) <= memo.maxsize
+        assert memo.hits > 0

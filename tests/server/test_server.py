@@ -479,10 +479,10 @@ class TestStats:
         run(scenario())
 
 
-class TestShardedVerify:
-    """The ``verify`` request's ``workers`` field: multiprocessing-
-    sharded verification over the bytecode op-index, with structured
-    diagnostics instead of first-failure errors."""
+class TestVerifyInProcess:
+    """``verify`` checks the module in the tenant's session; a request
+    that still carries the removed ``workers`` field gets the same
+    reply as one without it."""
 
     @staticmethod
     def make_artifact(n_ops=80, bad=False):
@@ -501,7 +501,10 @@ class TestShardedVerify:
             module.regions[0].blocks[0].insert_op(src, 7)
         return encode_module(module)
 
-    def test_sharded_verify_clean_module(self):
+    @staticmethod
+    def with_bench_tenant(check):
+        """Run ``await check(client)`` against a server whose default
+        tenant has the bench dialect registered."""
         from repro.corpus.synth import BENCH_DIALECT_SOURCE
 
         async def scenario():
@@ -512,65 +515,24 @@ class TestShardedVerify:
                     await client.register_dialect(
                         BENCH_DIALECT_SOURCE, name="bench.irdl"
                     )
-                    data = self.make_artifact()
-                    response = await client.verify(data, workers=3)
-                    assert response["verified"] is True
-                    assert response["ops"] == 80
-                    assert response["workers"] == 3
-                    assert response["diagnostics"] == []
+                    await check(client)
 
         run(scenario())
 
-    def test_sharded_verify_reports_diagnostics(self):
-        from repro.corpus.synth import BENCH_DIALECT_SOURCE
+    def test_invalid_op_with_workers_is_a_verify_error(self):
+        async def check(client):
+            with pytest.raises(ServerError) as excinfo:
+                await client.verify(self.make_artifact(bad=True), workers=2)
+            assert excinfo.value.code == ErrorCode.VERIFY_ERROR
+            assert "bench.source" in str(excinfo.value)
 
-        async def scenario():
-            async with running_server() as server:
-                async with await ServerClient.connect(
-                    server.host, server.port
-                ) as client:
-                    await client.register_dialect(
-                        BENCH_DIALECT_SOURCE, name="bench.irdl"
-                    )
-                    data = self.make_artifact(bad=True)
-                    response = await client.verify(data, workers=2)
-                    assert response["verified"] is False
-                    diags = response["diagnostics"]
-                    assert len(diags) == 1
-                    assert diags[0]["index"] == 7
-                    assert diags[0]["op"] == "bench.source"
-                    assert diags[0]["message"]
+        self.with_bench_tenant(check)
 
-        run(scenario())
+    def test_clean_module_with_workers_gets_the_plain_reply(self):
+        async def check(client):
+            data = self.make_artifact()
+            reply = await client.verify(data, workers=3)
+            assert reply == await client.verify(data)
+            assert reply == {"verified": True, "ops": 81}
 
-    def test_textual_payload_falls_back_to_serial(self):
-        from repro.corpus.synth import BENCH_DIALECT_SOURCE
-
-        async def scenario():
-            async with running_server() as server:
-                async with await ServerClient.connect(
-                    server.host, server.port
-                ) as client:
-                    await client.register_dialect(
-                        BENCH_DIALECT_SOURCE, name="bench.irdl"
-                    )
-                    response = await client.verify(
-                        '%x = "bench.source"() : () -> (i32)\n', workers=2
-                    )
-                    assert response["verified"] is True
-                    assert response["workers"] == 1
-                    assert "textual" in response["fallback"]
-
-        run(scenario())
-
-    def test_bad_workers_value_is_structured_error(self):
-        async def scenario():
-            async with running_server() as server:
-                async with await ServerClient.connect(
-                    server.host, server.port
-                ) as client:
-                    with pytest.raises(ServerError) as excinfo:
-                        await client.verify("x", workers="many")
-                    assert excinfo.value.code == ErrorCode.BAD_REQUEST
-
-        run(scenario())
+        self.with_bench_tenant(check)

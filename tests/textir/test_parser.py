@@ -1,5 +1,10 @@
 """Textual IR parsing: types, attributes, operations, regions, errors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.builtin import (
@@ -20,6 +25,9 @@ from repro.builtin import (
 from repro.ir import ArrayParam, EnumParam, IntegerParam, StringParam
 from repro.textir.parser import IRParser, parse_module
 from repro.utils import DiagnosticError
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def type_of(ctx, text):
@@ -96,6 +104,13 @@ class TestParamParsing:
     def test_type_param(self, ctx):
         assert self.param(ctx, "f32") == f32
 
+    @pytest.mark.parametrize("text", ["256 : uint8_t", "-1 : uint32_t",
+                                      "2147483648"])
+    def test_integer_past_its_width_is_a_diagnostic(self, ctx, text):
+        with pytest.raises(DiagnosticError, match=r":1:1: error: value "
+                           r"-?\d+ does not fit in u?int\d+_t"):
+            self.param(ctx, text)
+
 
 class TestAttributeParsing:
     @pytest.mark.parametrize(
@@ -130,6 +145,57 @@ class TestAttributeParsing:
         # Types are attributes: a bare type denotes itself.
         attr = attr_of(ctx, "(i32) -> f32")
         assert attr == FunctionType([i32], [f32])
+
+
+def constant_op(literal, split):
+    """An ``arith.constant`` of ``literal``: one line, which the parser
+    reads without tokens, or split before its attributes, which it reads
+    token by token."""
+    type_name = literal.partition(" : ")[2]
+    gap = "\n    " if split else " "
+    return (f'%a = "arith.constant"(){gap}{{value = {literal}}} '
+            f": () -> {type_name}\n")
+
+
+SPLIT = pytest.mark.parametrize("split", [False, True],
+                                ids=["one-line", "split"])
+
+
+class TestIntegerLiteralRange:
+    """``IntegerAttr`` stores its value in 64 signed bits, so a literal
+    past them is a parse error at its token, on both parse paths."""
+
+    @SPLIT
+    @pytest.mark.parametrize("literal", [
+        "9223372036854775808 : i64", "18446744073709551615 : ui64",
+        "9223372036854775808 : i128", "-9223372036854775809 : i64",
+    ])
+    def test_literal_past_int64_is_a_diagnostic(self, literal, split,
+                                                tmp_path):
+        path = tmp_path / "in.mlir"
+        path.write_text(constant_op(literal, split))
+        value = literal.partition(" : ")[0]
+        line, column = (2, 14) if split else (1, 34)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.tools.irdl_opt", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 1
+        assert (f"{path}:{line}:{column}: error: integer literal {value} "
+                "is outside the signed 64-bit range") in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @SPLIT
+    @pytest.mark.parametrize("literal", [
+        "9223372036854775807 : i64", "-9223372036854775808 : i64",
+    ])
+    def test_int64_edges_parse_and_verify(self, ctx, literal, split):
+        module = parse_module(ctx, constant_op(literal, split))
+        module.verify()
+        (op,) = module.regions[0].blocks[0].ops
+        assert op.attributes["value"].value == int(
+            literal.partition(" : ")[0])
 
 
 class TestOperations:
