@@ -25,8 +25,6 @@ enforce it:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.builtin.attributes import (
     ArrayAttr,
     DictionaryAttr,
@@ -78,7 +76,7 @@ from repro.ir.params import (
 from repro.ir.region import MAX_NESTING, Region
 from repro.ir.value import SSAValue
 from repro.irdl import ast
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, observed
 from repro.utils.collector import bulk_construction
 
 _SIGNEDNESS_FROM_CODE = {
@@ -90,22 +88,24 @@ _VARIADICITY_FROM_CODE = {
 }
 
 
-def _wrap_errors(fn):
-    """Convert any non-BytecodeError escape into a clean BytecodeError."""
+class malformed_as_bytecode_error:
+    """Context manager: any exception but a BytecodeError escaping its
+    body is re-raised as a BytecodeError about the artifact ``name``."""
 
-    def wrapper(*args: Any, name: str = "<bytecode>", **kwargs: Any):
-        try:
-            return fn(*args, name=name, **kwargs)
-        except BytecodeError:
-            raise
-        except Exception as err:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if (kind is not None and issubclass(kind, Exception)
+                and not issubclass(kind, BytecodeError)):
             raise BytecodeError(
-                f"malformed bytecode: {type(err).__name__}: {err}", name
+                f"malformed bytecode: {kind.__name__}: {err}", self.name
             ) from err
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +837,7 @@ def _read_tables(context: Context, sections: dict[int, Reader], name: str):
 
 
 @bulk_construction
-@_wrap_errors
+@observed("bytecode.decode", "bytecode.decode.time", "bytecode")
 def decode_module(
     context: Context, data: bytes, *, name: str = "<bytecode>"
 ) -> Operation:
@@ -848,10 +848,7 @@ def decode_module(
     context must allow unregistered constructs).  Any malformed input
     raises :class:`BytecodeError`.
     """
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.decode", category="bytecode"):
+    with malformed_as_bytecode_error(name):
         reader = Reader(data, name)
         _read_header(reader, KIND_MODULE)
         string_table, attrs, locations, ops = _read_tables(
@@ -871,9 +868,6 @@ def decode_module(
         metrics.counter("bytecode.decode.modules").inc()
         metrics.counter("bytecode.decode.ops").inc(op_reader.walk)
         metrics.histogram("bytecode.decode.module_bytes").observe(len(data))
-        metrics.timer("bytecode.decode.time").record(
-            time.perf_counter() - start
-        )
     return root
 
 
@@ -1101,7 +1095,7 @@ def _apply_suppressions(
         )
 
 
-@_wrap_errors
+@observed("bytecode.decode_dialects", "bytecode.decode.time", "bytecode")
 def decode_dialects(
     data: bytes, *, name: str = "<bytecode>"
 ) -> list[ast.DialectDecl]:
@@ -1111,10 +1105,7 @@ def decode_dialects(
     :func:`repro.irdl.instantiate.register_dialect` without any textual
     parsing.  Any malformed input raises :class:`BytecodeError`.
     """
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.decode_dialects", category="bytecode"):
+    with malformed_as_bytecode_error(name):
         reader = Reader(data, name)
         _read_header(reader, KIND_DIALECTS)
         sections = _read_sections(reader)
@@ -1136,7 +1127,4 @@ def decode_dialects(
     if metrics.enabled:
         metrics.counter("bytecode.decode.dialects").inc(len(decls))
         metrics.histogram("bytecode.decode.dialect_bytes").observe(len(data))
-        metrics.timer("bytecode.decode.time").record(
-            time.perf_counter() - start
-        )
     return decls

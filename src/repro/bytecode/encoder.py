@@ -77,7 +77,7 @@ from repro.ir.region import MAX_NESTING, Region
 from repro.ir.uniquer import intern
 from repro.ir.value import SSAValue
 from repro.irdl import ast
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, observed
 
 # ---------------------------------------------------------------------------
 # Section identifiers (new sections get fresh ids; readers skip unknown ones)
@@ -542,6 +542,7 @@ def _write_module(root: Operation, w: Writer, index: bool) -> int:
     return writer.ops
 
 
+@observed("bytecode.encode", "bytecode.encode.time", "bytecode")
 def encode_module(root: Operation, *, index: bool = True) -> bytes:
     """Serialize an operation (usually a module) to bytecode.
 
@@ -550,40 +551,17 @@ def encode_module(root: Operation, *, index: bool = True) -> bytes:
     that enables lazy loading; ``index=False`` leaves it out.
     """
     w = Writer()
-    if not OBS.active:
-        _write_module(root, w, index)
-        return w.getvalue()
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.encode", category="bytecode"):
-        op_count = _write_module(root, w, index)
-        data = w.getvalue()
+    op_count = _write_module(root, w, index)
+    data = w.getvalue()
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.modules").inc()
         metrics.counter("bytecode.encode.ops").inc(op_count)
         metrics.histogram("bytecode.encode.module_bytes").observe(len(data))
-        metrics.timer("bytecode.encode.time").record(
-            time.perf_counter() - start
-        )
     return data
 
 
-def _encode_module_stream(root: Operation, fileobj,
-                          index: bool) -> tuple[int, int]:
-    """The number of bytes written, and of ops written."""
-    if not fileobj.seekable():
-        raise BytecodeError(
-            "streaming encoding needs a seekable file (the OPS section "
-            "length is patched in after the payload); use encode_module "
-            "for pipes"
-        )
-    w = Writer(fileobj)
-    op_count = _write_module(root, w, index)
-    return w.tell(), op_count
-
-
+@observed("bytecode.encode_stream", "bytecode.encode.time", "bytecode")
 def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int:
     """Serialize a module to a seekable binary file, section by section.
 
@@ -594,22 +572,21 @@ def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int
     (non-canonical) varint that is patched after the payload, which is
     why the file must be seekable.
     """
-    if not OBS.active:
-        return _encode_module_stream(root, fileobj, index)[0]
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.encode_stream", category="bytecode"):
-        written, op_count = _encode_module_stream(root, fileobj, index)
+    if not fileobj.seekable():
+        raise BytecodeError(
+            "streaming encoding needs a seekable file (the OPS section "
+            "length is patched in after the payload); use encode_module "
+            "for pipes"
+        )
+    w = Writer(fileobj)
+    op_count = _write_module(root, w, index)
+    written = w.tell()
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.modules").inc()
         metrics.counter("bytecode.encode.streamed").inc()
         metrics.counter("bytecode.encode.ops").inc(op_count)
         metrics.histogram("bytecode.encode.module_bytes").observe(written)
-        metrics.timer("bytecode.encode.time").record(
-            time.perf_counter() - start
-        )
     return written
 
 
@@ -768,7 +745,14 @@ def _suppression_entries(
     return entries
 
 
-def _encode_dialects(decls: Sequence[ast.DialectDecl]) -> bytes:
+@observed("bytecode.encode_dialects", "bytecode.encode.time", "bytecode")
+def encode_dialects(
+    decls: ast.DialectDecl | Sequence[ast.DialectDecl],
+) -> bytes:
+    """Serialize IRDL dialect declarations (the parsed AST) to bytecode."""
+    if isinstance(decls, ast.DialectDecl):
+        decls = [decls]
+    decls = list(decls)
     pools = Pools()
     body = Writer()
     body.varint(len(decls))
@@ -787,28 +771,9 @@ def _encode_dialects(decls: Sequence[ast.DialectDecl]) -> bytes:
     w.section(SECTION_DIALECTS, [body])
     if entries:
         w.section(SECTION_SUPPRESSIONS, [suppressions])
-    return w.getvalue()
-
-
-def encode_dialects(
-    decls: ast.DialectDecl | Sequence[ast.DialectDecl],
-) -> bytes:
-    """Serialize IRDL dialect declarations (the parsed AST) to bytecode."""
-    if isinstance(decls, ast.DialectDecl):
-        decls = [decls]
-    decls = list(decls)
-    if not OBS.active:
-        return _encode_dialects(decls)
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.encode_dialects", category="bytecode"):
-        data = _encode_dialects(decls)
+    data = w.getvalue()
     metrics = OBS.metrics
     if metrics.enabled:
         metrics.counter("bytecode.encode.dialects").inc(len(decls))
         metrics.histogram("bytecode.encode.dialect_bytes").observe(len(data))
-        metrics.timer("bytecode.encode.time").record(
-            time.perf_counter() - start
-        )
     return data

@@ -31,7 +31,7 @@ import mmap
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from itertools import accumulate
-from typing import Any, Callable
+from typing import Callable
 
 from repro.bytecode import encoder as enc
 from repro.bytecode.decoder import (
@@ -41,6 +41,7 @@ from repro.bytecode.decoder import (
     _read_sections,
     _read_tables,
     _Values,
+    malformed_as_bytecode_error,
 )
 from repro.bytecode.wire import (
     KIND_MODULE,
@@ -54,19 +55,7 @@ from repro.ir.block import Block
 from repro.ir.context import Context
 from repro.ir.operation import Operation
 from repro.ir.region import Region
-from repro.obs.instrument import OBS
-
-
-def _wrapped(name: str, fn: Callable[[], Any]) -> Any:
-    """Run ``fn``, converting unexpected escapes into BytecodeError."""
-    try:
-        return fn()
-    except BytecodeError:
-        raise
-    except Exception as err:
-        raise BytecodeError(
-            f"malformed bytecode: {type(err).__name__}: {err}", name
-        ) from err
+from repro.obs.instrument import OBS, observed
 
 
 class _ShellReader(_OpReader):
@@ -187,26 +176,26 @@ class LazyOpHandle:
         """The op name, peeked from the first bytes of the span."""
         if self.op is not None:
             return self.op.name
-        return _wrapped(self.reader.name, self._peek_name)
-
-    def _peek_name(self) -> str:
-        start, end = self.reader._span(self)
-        ints = varints(self.reader.data, start,
-                       varint_offset(self.reader.data, start, 1, end),
-                       self.reader.name)
-        strings = self.reader._ops.strings
-        if not ints or ints[0] >= len(strings):
-            raise BytecodeError(
-                f"at byte {start}: op #{self.index} has no valid name",
-                self.reader.name,
-            )
-        return strings[ints[0]]
+        reader = self.reader
+        with malformed_as_bytecode_error(reader.name):
+            start, end = reader._span(self)
+            ints = varints(reader.data, start,
+                           varint_offset(reader.data, start, 1, end),
+                           reader.name)
+            strings = reader._ops.strings
+            if not ints or ints[0] >= len(strings):
+                raise BytecodeError(
+                    f"at byte {start}: op #{self.index} has no valid name",
+                    reader.name,
+                )
+            return strings[ints[0]]
 
     def force(self) -> Operation:
         """Materialize this op (and its regions); idempotent."""
         if self.op is not None:
             return self.op
-        return _wrapped(self.reader.name, lambda: self.reader._force(self))
+        with malformed_as_bytecode_error(self.reader.name):
+            return self.reader._force(self)
 
     def __repr__(self) -> str:
         state = "materialized" if self.op is not None else "lazy"
@@ -274,6 +263,7 @@ class LazyModuleReader:
     :class:`BytecodeError`).
     """
 
+    @observed("bytecode.lazy.open", "bytecode.lazy.open_time", "bytecode")
     def __init__(self, context: Context, data, *,
                  name: str = "<bytecode>", _close: Callable[[], None] | None = None):
         self.context = context
@@ -291,11 +281,8 @@ class LazyModuleReader:
         #: scan (out-of-order forcing must not be quadratic).
         self._forced_positions: dict[int, list[int]] = {}
         self._forced = 0
-        import time
-
-        start = time.perf_counter()
-        with OBS.tracer.span("bytecode.lazy.open", category="bytecode"):
-            _wrapped(name, self._open)
+        with malformed_as_bytecode_error(name):
+            self._open()
         metrics = OBS.metrics
         if metrics.enabled:
             metrics.counter("bytecode.lazy.opens").inc()
@@ -305,9 +292,6 @@ class LazyModuleReader:
                 )
             else:
                 metrics.counter("bytecode.lazy.fallbacks").inc()
-            metrics.timer("bytecode.lazy.open_time").record(
-                time.perf_counter() - start
-            )
 
     # ------------------------------------------------------------------
     # Opening

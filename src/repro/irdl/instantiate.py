@@ -56,8 +56,7 @@ from repro.irdl.resolver import (
     resolve_dialect_body,
 )
 from repro.irdl.verifier import LazyOpVerifier
-from repro.obs import timing as _timing
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, observed
 from repro.utils.collector import bulk_construction
 
 
@@ -218,30 +217,14 @@ class DynamicOpDef(OpDefBinding):
 
 
 @bulk_construction
+@observed(lambda context, decl: (f"irdl.register:{decl.name}", {}),
+          "irdl.instantiate.register_time", "irdl")
 def register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
     """Register one parsed IRDL dialect into a context.
 
     Returns the resolved :class:`DialectDef` (also stored on the binding
     as ``binding.irdl_def`` for introspection and analysis tooling).
     """
-    if not OBS.active:
-        return _register_dialect(context, decl)
-    start = _timing.now()
-    with OBS.tracer.span(f"irdl.register:{decl.name}", category="irdl"):
-        dialect_def = _register_dialect(context, decl)
-    metrics = OBS.metrics
-    if metrics.enabled:
-        scope = metrics.scope("irdl.instantiate")
-        scope.counter("dialects_loaded").inc()
-        scope.counter("ops_instantiated").inc(len(dialect_def.operations))
-        scope.counter("types_instantiated").inc(
-            len(dialect_def.types) + len(dialect_def.attributes)
-        )
-        scope.timer("register_time").record(_timing.now() - start)
-    return dialect_def
-
-
-def _register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
     if context.get_dialect(decl.name) is not None:
         raise ResolutionError.at(
             f"dialect {decl.name!r} is already registered", decl.span
@@ -284,6 +267,14 @@ def _register_dialect(context: Context, decl: ast.DialectDecl) -> DialectDef:
     # uses the syntax tree).
     binding.irdl_def = dialect_def  # type: ignore[attr-defined]
     binding.irdl_ast = decl  # type: ignore[attr-defined]
+    metrics = OBS.metrics
+    if metrics.enabled:
+        scope = metrics.scope("irdl.instantiate")
+        scope.counter("dialects_loaded").inc()
+        scope.counter("ops_instantiated").inc(len(dialect_def.operations))
+        scope.counter("types_instantiated").inc(
+            len(dialect_def.types) + len(dialect_def.attributes)
+        )
     return dialect_def
 
 
@@ -312,17 +303,23 @@ def register_irdl(context: Context, text: str, name: str = "<irdl>") -> list[Dia
     return register_dialects(context, parse_irdl(text, name))
 
 
-def load_irdl_file(context: Context, path: str) -> list[DialectDef]:
-    """Load and register the dialects of one ``.irdl`` file.
+def read_dialects(data: bytes, name: str = "<irdl>") -> list[ast.DialectDecl]:
+    """The dialect declarations of a raw IRDL payload.
 
-    The file may hold IRDL source text or a compiled dialects artifact
-    (``irdl-opt --compile-irdl``); the bytecode magic number decides,
-    so callers never need to know which form they were handed.
+    The payload may hold IRDL source text or a compiled dialects
+    artifact (``irdl-opt --compile-irdl``); the bytecode magic number
+    decides, so callers never need to know which form they were handed.
     """
-    with open(path, "rb") as handle:
-        raw = handle.read()
     from repro.bytecode import decode_dialects, is_bytecode
 
-    if is_bytecode(raw):
-        return register_dialects(context, decode_dialects(raw, name=path))
-    return register_irdl(context, raw.decode("utf-8"), path)
+    if is_bytecode(data):
+        return decode_dialects(data, name=name)
+    return parse_irdl(data.decode("utf-8"), name)
+
+
+def load_irdl_file(context: Context, path: str) -> list[DialectDef]:
+    """Load and register the dialects of one ``.irdl`` file, text or
+    bytecode (:func:`read_dialects`)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return register_dialects(context, read_dialects(data, path))

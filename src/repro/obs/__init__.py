@@ -22,6 +22,7 @@ from repro.obs.instrument import (
     Observability,
     count_ops,
     disable_metrics,
+    dump_recent_events,
     enable_metrics,
     install_remarks,
     install_tracer,
@@ -77,6 +78,7 @@ __all__ = [
     "install_remarks",
     "uninstall_remarks",
     "recent_events",
+    "dump_recent_events",
     "observed",
     "reset",
     "render_metrics",

@@ -7,23 +7,24 @@ allocated and no names are formatted.  Enabling observability swaps the
 fields of the singleton in place, which every importer observes
 immediately (the object identity never changes).
 
-Typical instrumentation site::
+A library entry point gets its span and timer from :func:`observed`
+and keeps only the metrics that need its own data::
 
-    from repro.obs.instrument import OBS
+    from repro.obs.instrument import OBS, observed
 
+    @observed("textir.parse", "textir.parser.parse_time", "textir")
     def parse(...):
-        if not OBS.active:
-            return _parse(...)            # the untouched fast path
-        with OBS.tracer.span("textir.parse"):
-            result = _parse(...)
-        OBS.metrics.counter("textir.parser.ops_parsed").inc(n)
+        result = ...
+        if OBS.metrics.enabled:
+            OBS.metrics.counter("textir.parser.ops_parsed").inc(n)
         return result
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+import functools
+import json
+from typing import TYPE_CHECKING, Any, Callable, TextIO, TypeVar
 
 from repro.obs import timing
 from repro.obs.metrics import MetricsRegistry
@@ -104,6 +105,18 @@ def recent_events() -> list[dict]:
     return OBS.ring.snapshot()
 
 
+def dump_recent_events(stream: TextIO) -> None:
+    """Write the flight-recorder snapshot to ``stream`` under a header,
+    one JSON object per line; nothing when the ring is empty."""
+    events = recent_events()
+    if not events:
+        return
+    print(f"--- flight recorder ({len(events)} event(s), oldest first) ---",
+          file=stream)
+    for event in events:
+        print(json.dumps(event, sort_keys=True, default=str), file=stream)
+
+
 def reset() -> None:
     """Return the global state to its fully disabled default."""
     OBS.metrics = MetricsRegistry(enabled=False)
@@ -112,18 +125,40 @@ def reset() -> None:
     OBS.ring.clear()
 
 
-@contextmanager
-def observed(span_name: str, timer_name: str | None = None,
-             category: str = "repro") -> Iterator[None]:
-    """Span + timer in one guard, for call sites outside the hot loops."""
-    if not OBS.active:
-        yield
-        return
-    start = timing.now()
-    with OBS.tracer.span(span_name, category=category):
-        yield
-    if timer_name is not None and OBS.metrics.enabled:
-        OBS.metrics.timer(timer_name).record(timing.now() - start)
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def observed(span: str | Callable[..., tuple[str, dict[str, Any]]],
+             timer: str, category: str) -> Callable[[_F], _F]:
+    """Trace and time each call of the decorated entry point.
+
+    With observability off the wrapper calls the function directly.
+    With it on, the call runs inside one tracer span of ``category``
+    and records one sample of the timer ``timer``, read with
+    :func:`repro.obs.timing.now`.  ``span`` is the span name, or a
+    function of the call's arguments that returns the name and the
+    span's args.
+    """
+
+    def decorate(fn: _F) -> _F:
+        @functools.wraps(fn)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            if not OBS.active:
+                return fn(*args, **kwargs)
+            if isinstance(span, str):
+                name, span_args = span, {}
+            else:
+                name, span_args = span(*args, **kwargs)
+            start = timing.now()
+            with OBS.tracer.span(name, category, **span_args):
+                result = fn(*args, **kwargs)
+            if OBS.metrics.enabled:
+                OBS.metrics.timer(timer).record(timing.now() - start)
+            return result
+
+        return wrapper  # type: ignore[return-value]
+
+    return decorate
 
 
 def count_ops(root: "Operation") -> int:

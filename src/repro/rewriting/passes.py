@@ -285,11 +285,7 @@ class PassManager:
         active = OBS.active
         ops_before = count_ops(root) if active else None
         start = _timing.now()
-        if active:
-            with OBS.tracer.span(f"pass:{pipeline_pass.name}",
-                                 category="pass"):
-                changed = pipeline_pass.run(root)
-        else:
+        with OBS.tracer.span(f"pass:{pipeline_pass.name}", category="pass"):
             changed = pipeline_pass.run(root)
         wall_time = _timing.now() - start
         ops_after = count_ops(root) if active else None

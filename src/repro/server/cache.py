@@ -147,17 +147,11 @@ class DialectCache:
         same scratch context in declaration order).
         """
         from repro.builtin import default_context
-        from repro.bytecode import decode_dialects, is_bytecode
-        from repro.irdl.instantiate import register_dialect
-        from repro.irdl.parser import parse_irdl
+        from repro.bytecode import is_bytecode
+        from repro.irdl.instantiate import read_dialects, register_dialect
 
         start = time.perf_counter()
-        if is_bytecode(data):
-            source_kind = "bytecode"
-            decls = decode_dialects(data, name=name)
-        else:
-            source_kind = "text"
-            decls = parse_irdl(data.decode("utf-8"), name)
+        decls = read_dialects(data, name)
         scratch = default_context()
         defs = [register_dialect(scratch, decl) for decl in decls]
         bindings = tuple(scratch.dialects[decl.name] for decl in decls)
@@ -172,7 +166,7 @@ class DialectCache:
             names=tuple(decl.name for decl in decls),
             bindings=bindings,
             defs=tuple(defs),
-            source_kind=source_kind,
+            source_kind="bytecode" if is_bytecode(data) else "text",
             compile_seconds=elapsed,
             generation=generation,
         )

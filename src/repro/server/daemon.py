@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 import sys
 import threading
@@ -49,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.ir.exceptions import UnregisteredConstructError, VerifyError
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, dump_recent_events
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
 from repro.server.cache import (
@@ -392,7 +391,11 @@ class DialectServer:
         elif isinstance(err, ValueError):
             code = ErrorCode.PIPELINE_ERROR
         else:
-            self._dump_flight_recorder(err)
+            # An unexpected handler crash: say so, and dump the event
+            # ring so the events leading up to it are not lost.
+            print(f"repro-serve: internal error: {type(err).__name__}: "
+                  f"{err}", file=sys.stderr)
+            dump_recent_events(sys.stderr)
             return protocol.error_response(
                 request_id, ErrorCode.INTERNAL,
                 f"{type(err).__name__}: {err}",
@@ -400,19 +403,6 @@ class DialectServer:
         return protocol.error_response(
             request_id, code, str(err), detail=type(err).__name__
         )
-
-    @staticmethod
-    def _dump_flight_recorder(err: Exception) -> None:
-        """Dump the event ring to stderr on an unexpected handler crash."""
-        events = OBS.ring.snapshot()
-        print(f"repro-serve: internal error: {type(err).__name__}: {err}",
-              file=sys.stderr)
-        if events:
-            print(f"--- flight recorder ({len(events)} event(s), "
-                  "oldest first) ---", file=sys.stderr)
-            for event in events:
-                print(json.dumps(event, sort_keys=True, default=str),
-                      file=sys.stderr)
 
     # ------------------------------------------------------------------
     # Handlers (worker threads, tenant lock held)

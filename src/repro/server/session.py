@@ -59,15 +59,9 @@ class Session:
         dialects or none: when one fails, the ones registered before it
         are removed again, so a corrected retry of the payload succeeds.
         """
-        from repro.bytecode import decode_dialects, is_bytecode
-        from repro.irdl.instantiate import register_dialects
-        from repro.irdl.parser import parse_irdl
+        from repro.irdl.instantiate import read_dialects, register_dialects
 
-        if is_bytecode(data):
-            decls = decode_dialects(data, name=name)
-        else:
-            decls = parse_irdl(data.decode("utf-8"), name)
-        defs = register_dialects(self.ctx, decls)
+        defs = register_dialects(self.ctx, read_dialects(data, name))
         self.dialects.extend(defs)
         return defs
 

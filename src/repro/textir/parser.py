@@ -43,8 +43,7 @@ from repro.ir.params import (
 from repro.ir.region import MAX_NESTING, Region
 from repro.ir.uniquer import intern as intern_attr
 from repro.ir.value import SSAValue
-from repro.obs import timing as _timing
-from repro.obs.instrument import OBS
+from repro.obs.instrument import OBS, observed
 from repro.textir.lexer import Token, TokenCursor, TokenKind
 from repro.utils.collector import bulk_construction
 from repro.utils.source import SourceFile
@@ -548,7 +547,8 @@ class IRParser(TokenCursor):
             elif suffix.kind is TokenKind.BARE_IDENT and _FLOAT_TYPE_RE.match(suffix.text):
                 self.next()
                 self.next()
-                return FloatParam(float(value), int(suffix.text[1:]))
+                return FloatParam(self._float_of(value, token),
+                                  int(suffix.text[1:]))
             elif suffix.kind is TokenKind.BARE_IDENT and self._is_builtin_type_name(
                 suffix.text
             ):
@@ -690,9 +690,22 @@ class IRParser(TokenCursor):
         if self.accept(TokenKind.COLON):
             attr_type = self._type()
             if isinstance(attr_type, btypes.FloatType):
-                return battrs.FloatAttr.get(float(int_value), attr_type)
+                return battrs.FloatAttr.get(self._float_of(int_value, token),
+                                            attr_type)
             return self._integer_attr(int_value, attr_type, token)
         return self._integer_attr(int_value, None, token)
+
+    def _float_of(self, value: int, token: Token) -> float:
+        """``float(value)``; an integer literal past the largest double
+        is an error at its ``token``."""
+        try:
+            return float(value)
+        except OverflowError:
+            raise self.error(
+                f"integer literal {value} is too large for a floating-point "
+                "value",
+                token,
+            ) from None
 
     def _integer_attr(self, value: int, value_type: Attribute | None,
                       token: Token) -> Attribute:
@@ -1172,18 +1185,15 @@ class IRParser(TokenCursor):
 
 
 @bulk_construction
+@observed(lambda context, text, name="<input>": ("textir.parse", {"file": name}),
+          "textir.parser.parse_time", "textir")
 def parse_module(context: Context, text: str, name: str = "<input>") -> Operation:
     """Parse textual IR into a ``builtin.module`` operation."""
     parser = IRParser(context, text, name)
-    if not OBS.active:
-        return parser.parse_module()
-    start = _timing.now()
-    with OBS.tracer.span("textir.parse", category="textir", file=name):
-        module = parser.parse_module()
+    module = parser.parse_module()
     metrics = OBS.metrics
     if metrics.enabled:
         scope = metrics.scope("textir")
-        scope.timer("parser.parse_time").record(_timing.now() - start)
         scope.counter("lexer.tokens").inc(parser.lexer.tokens_lexed)
         scope.counter("parser.ops_parsed").inc(parser.ops_parsed)
         scope.histogram("parser.module_ops").observe(parser.ops_parsed)

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.builtin import default_context
 from repro.ir.exceptions import VerifyError
-from repro.irdl.instantiate import load_irdl_file
+from repro.irdl.instantiate import load_irdl_file, read_dialects
 from repro.textir.printer import print_op
 from repro.utils.diagnostics import DiagnosticError
 
@@ -390,19 +390,14 @@ def _emit_module(module, args: argparse.Namespace,
 
 def compile_irdl(path: str, output: str | None) -> int:
     """Compile an IRDL file (text or bytecode) to a dialects artifact."""
-    from repro.bytecode import decode_dialects, encode_dialects, is_bytecode
-    from repro.irdl.parser import parse_irdl
+    from repro.bytecode import encode_dialects
 
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        if is_bytecode(raw):
-            # Already compiled: decode and re-encode, which validates the
-            # artifact and upgrades it to the current format version.
-            decls = decode_dialects(raw, name=path)
-        else:
-            decls = parse_irdl(raw.decode("utf-8"), path)
-        data = encode_dialects(decls)
+        # An artifact is decoded and re-encoded, which validates it and
+        # upgrades it to the current format version.
+        data = encode_dialects(read_dialects(raw, path))
     except (DiagnosticError, UnicodeDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -500,42 +495,20 @@ def lint_files(
     is a warning, 2 when any error is found (including files that fail
     to parse or register).
     """
-    from repro.analysis.sat import SatEngine
-    from repro.ir.context import Context
-    from repro.irdl.instantiate import register_dialect
-    from repro.irdl.parser import parse_irdl
-    from repro.tools.lint import (
-        exit_code,
-        findings_to_json,
-        lint_dialect,
-        lint_patterns,
-        render_findings,
-    )
+    from repro.server.session import Session
+    from repro.tools.lint import exit_code, findings_to_json, render_findings
 
-    engine = SatEngine()
-    findings = []
+    def read(path: str) -> tuple[str, str]:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read(), path
+
     try:
-        parsed = []
-        for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                parsed.append(parse_irdl(handle.read(), path))
-        # Self-contained dialect sets (e.g. the corpus, whose
-        # builtin.irdl redefines the natively-registered builtin
-        # dialect) are linted in a bare context; everything else gets
-        # the default context so builtin types resolve.
-        ctx = default_context()
-        if any(decl.name in ctx.dialects
-               for decls in parsed for decl in decls):
-            ctx = Context()
-        for decls in parsed:
-            for decl in decls:
-                dialect = register_dialect(ctx, decl)
-                findings.extend(lint_dialect(dialect, decl, engine=engine))
-        for path in pattern_paths or []:
-            with open(path, encoding="utf-8") as handle:
-                findings.extend(
-                    lint_patterns(ctx, handle.read(), path, engine=engine)
-                )
+        # The daemon's lint request runs the same call, so both lint
+        # with one context policy (Session.lint_sources).
+        findings = Session().lint_sources(
+            [read(path) for path in paths],
+            [read(path) for path in pattern_paths or []],
+        )
     except DiagnosticError as err:
         print(err, file=sys.stderr)
         return 2
@@ -631,28 +604,14 @@ def main(argv: list[str] | None = None) -> int:
     except DiagnosticError as err:
         # An uncaught diagnostic: dump the flight recorder so the
         # events leading up to the failure are not lost.
-        _dump_flight_recorder()
+        from repro.obs import dump_recent_events
+
+        dump_recent_events(sys.stderr)
         print(err, file=sys.stderr)
         exit_code = 1
     finally:
         finished = observation.finish()
     return exit_code if finished else 1
-
-
-def _dump_flight_recorder() -> None:
-    """Print the event-ring snapshot to stderr, one JSON object per line."""
-    import json
-
-    from repro.obs import recent_events
-
-    events = recent_events()
-    if not events:
-        return
-    print(f"--- flight recorder ({len(events)} event(s), oldest first) ---",
-          file=sys.stderr)
-    for event in events:
-        print(json.dumps(event, sort_keys=True, default=str),
-              file=sys.stderr)
 
 
 def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:

@@ -21,9 +21,6 @@ from repro.analysis.lints import (
     lint_patterns,
     render_findings,
 )
-from repro.analysis.sat import SatEngine, Verdict
-from repro.analysis.lints.satisfiability import sampler_witness
-from repro.irdl import constraints as C
 
 __all__ = [
     "LINT_CODES",
@@ -35,23 +32,3 @@ __all__ = [
     "lint_patterns",
     "render_findings",
 ]
-
-_ENGINE = SatEngine()
-
-
-def _is_satisfiable(constraint: C.Constraint) -> bool:
-    """Engine-first satisfiability with a sound sampler fallback.
-
-    The symbolic engine decides first; only when it answers ``UNKNOWN``
-    (opaque ``PyConstraint`` bodies) is the sampler consulted, and there
-    only :class:`~repro.irdl.sampler.CannotSample` counts as "no
-    witness" — any other exception is a real crash and propagates.
-    Satisfiable-but-unsamplable constraints (e.g. ``Not`` of an exotic
-    type) are therefore decided by the engine, not guessed at.
-    """
-    verdict = _ENGINE.satisfiable(constraint)
-    if verdict is Verdict.SAT:
-        return True
-    if verdict is Verdict.UNSAT:
-        return False
-    return sampler_witness(constraint)

@@ -85,7 +85,7 @@ ENTRY_POINTS = {
         Operation, "_copy", lambda context, module: module.clone(),
     ),
     "register_dialect": (
-        instantiate, "_register_dialect",
+        instantiate, "resolve_dialect_body",
         lambda context, module: instantiate.register_dialect(
             context, parse_irdl(DIALECT)[0]
         ),

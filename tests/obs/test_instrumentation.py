@@ -1,6 +1,7 @@
 """The pipeline hooks: parser, instantiation, verifier, driver, passes."""
 
 import io
+import itertools
 
 import pytest
 
@@ -58,6 +59,103 @@ def tracer():
     installed = install_tracer()
     yield installed
     reset()
+
+
+#: Each ``observed`` entry point -> its span (name, category, args) and
+#: its timer.
+ENTRY_POINTS = {
+    "parse_module": ("textir.parse", "textir", {"file": "conorm.mlir"},
+                     "textir.parser.parse_time"),
+    "register_dialect": ("irdl.register:cmath", "irdl", None,
+                         "irdl.instantiate.register_time"),
+    "encode_module": ("bytecode.encode", "bytecode", None,
+                      "bytecode.encode.time"),
+    "encode_module_stream": ("bytecode.encode_stream", "bytecode", None,
+                             "bytecode.encode.time"),
+    "encode_dialects": ("bytecode.encode_dialects", "bytecode", None,
+                        "bytecode.encode.time"),
+    "decode_module": ("bytecode.decode", "bytecode", None,
+                      "bytecode.decode.time"),
+    "decode_dialects": ("bytecode.decode_dialects", "bytecode", None,
+                        "bytecode.decode.time"),
+    "LazyModuleReader": ("bytecode.lazy.open", "bytecode", None,
+                         "bytecode.lazy.open_time"),
+}
+
+
+def entry_point_call(entry, ctx):
+    """A call of ``entry`` whose inputs are made now, while observability
+    is off."""
+    from repro.bytecode import (
+        LazyModuleReader,
+        decode_dialects,
+        decode_module,
+        encode_dialects,
+        encode_module,
+        encode_module_stream,
+    )
+    from repro.irdl import parse_irdl, register_dialect
+
+    module = parse_module(ctx, CONORM)
+    data = encode_module(module)
+    (decl,) = parse_irdl(cmath_source())
+    dialects = encode_dialects(decl)
+    return {
+        "parse_module": lambda: parse_module(ctx, CONORM, "conorm.mlir"),
+        "register_dialect": lambda: register_dialect(default_context(),
+                                                     decl),
+        "encode_module": lambda: encode_module(module),
+        "encode_module_stream": lambda: encode_module_stream(module,
+                                                             io.BytesIO()),
+        "encode_dialects": lambda: encode_dialects(decl),
+        "decode_module": lambda: decode_module(ctx, data),
+        "decode_dialects": lambda: decode_dialects(dialects),
+        "LazyModuleReader": lambda: LazyModuleReader(ctx, data),
+    }[entry]
+
+
+class _RaisingTracer:
+    """A disabled tracer whose spans must never be opened."""
+
+    enabled = False
+
+    def span(self, *args, **kwargs):
+        raise AssertionError("a span was opened with observability off")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+class TestObservedEntryPoints:
+    def test_one_span_and_one_timer_sample(self, entry, ctx):
+        name, category, args, timer = ENTRY_POINTS[entry]
+        call = entry_point_call(entry, ctx)
+        registry = enable_metrics(MetricsRegistry())
+        tracer = install_tracer()
+        try:
+            call()
+        finally:
+            reset()
+        (event,) = [e for e in tracer.events if e["name"] == name]
+        assert (event["cat"], event.get("args")) == (category, args)
+        assert registry.timer(timer).count == 1
+
+    def test_disabled_call_opens_no_span(self, entry, ctx, monkeypatch):
+        call = entry_point_call(entry, ctx)
+        monkeypatch.setattr(OBS, "tracer", _RaisingTracer())
+        assert not OBS.active
+        assert call() is not None
+
+    def test_timer_reads_the_pipeline_clock(self, entry, ctx, monkeypatch):
+        call = entry_point_call(entry, ctx)
+        ticks = itertools.count()
+        monkeypatch.setattr("repro.obs.timing.now",
+                            lambda: float(next(ticks)))
+        registry = enable_metrics(MetricsRegistry())
+        try:
+            call()
+        finally:
+            reset()
+        timer = registry.timer(ENTRY_POINTS[entry][3])
+        assert (timer.count, timer.total) == (1, 1.0)
 
 
 class TestParserInstrumentation:

@@ -198,6 +198,38 @@ class TestIntegerLiteralRange:
             literal.partition(" : ")[0])
 
 
+#: An integer literal past the largest double (about 1.8e308).
+HUGE = "1" + "0" * 400
+
+
+class TestFloatLiteralRange:
+    """An integer literal typed as a float past the largest double is a
+    parse error at its token, in attribute and in parameter position,
+    on both parse paths."""
+
+    @SPLIT
+    @pytest.mark.parametrize("attribute, column", [
+        (f"{HUGE} : f64", 14),
+        (f"#float_attr<{HUGE} : f64, f64>", 26),
+    ], ids=["attribute", "parameter"])
+    def test_literal_past_double_is_a_diagnostic(self, attribute, column,
+                                                 split, tmp_path):
+        path = tmp_path / "in.mlir"
+        gap = "\n    " if split else " "
+        path.write_text(f'%a = "arith.constant"(){gap}{{value = {attribute}}}'
+                        " : () -> f64\n")
+        line, column = (2, column) if split else (1, column + 20)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.tools.irdl_opt", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 1
+        assert (f"{path}:{line}:{column}: error: integer literal {HUGE} "
+                "is too large for a floating-point value") in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestOperations:
     def test_results_and_operands(self, ctx):
         module = parse_module(ctx, """

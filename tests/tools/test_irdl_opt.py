@@ -524,6 +524,20 @@ class TestLintCli:
         assert exit_code == 2
         assert "dead-rewrite-pattern" in capsys.readouterr().out
 
+    def test_native_dialect_name_lints_like_the_daemon(self, tmp_path,
+                                                       capsys):
+        # The daemon's lint request evicts only the redefined ``func``
+        # from a clone of the default context, so builtin types still
+        # resolve; the CLI lints through the same Session call.
+        path = self.write_irdl(
+            tmp_path, "Dialect func { Operation ret { Operands (x: !i32) } }"
+        )
+        exit_code = main(["--lint", path])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "warning[missing-summary] func.ret" in captured.out
+        assert captured.err == ""
+
     def test_unparsable_file_exits_two(self, tmp_path, capsys):
         path = self.write_irdl(tmp_path, "Dialect { }")
         exit_code = main(["--lint", path])
