@@ -314,7 +314,12 @@ class LazyModuleReader:
             mapped.close()
             handle.close()
 
-        return cls(context, mapped, name=path, _close=close)
+        try:
+            return cls(context, mapped, name=path, _close=close)
+        except BaseException:
+            # A corrupt artifact: no reader owns the mapping to close it.
+            close()
+            raise
 
     def _open(self) -> None:
         """Read the tables, the op index and the root shell.

@@ -70,15 +70,18 @@ class OpDefBinding:
     def has_custom_format(self) -> bool:
         return False
 
-    def prepare_custom(self, op: "Operation") -> None:
-        """Pre-flight check before printing the custom format.
+    def prepare_custom(self, op: "Operation") -> Any:
+        """Pre-flight check before printing the custom format; returns
+        what :meth:`print_custom` takes (the constraint-variable
+        bindings recovered from ``op``).
 
         Raises :class:`VerifyError` when the operation cannot be printed
         in its declarative format (e.g. it is invalid); the printer then
         falls back to the generic form.
         """
 
-    def print_custom(self, op: "Operation", printer: Any) -> None:
+    def print_custom(self, op: "Operation", printer: Any,
+                     bindings: Any) -> None:
         raise NotImplementedError
 
     def parse_custom(self, parser: Any) -> "Operation":

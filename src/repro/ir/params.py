@@ -14,6 +14,7 @@ types compare and hash structurally, exactly as MLIR's uniqued types do.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -41,7 +42,12 @@ class ParamValue:
 
 @dataclass(frozen=True)
 class IntegerParam(ParamValue):
-    """A fixed-width integer parameter (``int8_t`` … ``uint64_t``)."""
+    """A fixed-width integer parameter (``int8_t`` … ``uint64_t``).
+
+    The value is stored as ``operator.index(value)``: a ``bool`` becomes
+    the ``int`` it equals, so equal parameters print alike, and a value
+    that is not an integer raises ``TypeError``.
+    """
 
     value: int
     bitwidth: int = 32
@@ -50,6 +56,7 @@ class IntegerParam(ParamValue):
     kind = "integer"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value", operator.index(self.value))
         if self.bitwidth not in INTEGER_PARAM_WIDTHS:
             raise ValueError(f"unsupported integer parameter width {self.bitwidth}")
         low, high = self.value_range(self.bitwidth, self.signed)

@@ -278,9 +278,11 @@ class FormatProgram:
 
     # -- printing --------------------------------------------------------
 
-    def print(self, op: "Operation", printer: "Printer") -> None:
-        """Print the custom syntax following the operation name."""
-        bindings = self._bindings_for(op).bindings
+    def print(self, op: "Operation", printer: "Printer",
+              bindings: dict[str, Attribute]) -> None:
+        """Print the custom syntax following the operation name, with the
+        constraint-variable ``bindings`` that :meth:`_bindings_for`
+        recovered from ``op``."""
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):
                 if directive.text in _TIGHT_LITERALS:

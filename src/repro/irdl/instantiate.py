@@ -203,13 +203,13 @@ class DynamicOpDef(OpDefBinding):
     def has_custom_format(self) -> bool:
         return self.format_program is not None
 
-    def prepare_custom(self, op) -> None:
+    def prepare_custom(self, op) -> dict:
         assert self.format_program is not None
-        self.format_program._bindings_for(op)
+        return self.format_program._bindings_for(op).bindings
 
-    def print_custom(self, op, printer) -> None:
+    def print_custom(self, op, printer, bindings) -> None:
         assert self.format_program is not None
-        self.format_program.print(op, printer)
+        self.format_program.print(op, printer, bindings)
 
     def parse_custom(self, parser):
         assert self.format_program is not None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from typing import Any, Callable
 
 from repro.builtin import attributes as battrs
@@ -302,10 +303,11 @@ class IRParser(TokenCursor):
                 "si": btypes.Signedness.SIGNED,
                 "ui": btypes.Signedness.UNSIGNED,
             }[prefix]
-            return btypes.IntegerType.get(int(width), signedness)
+            return btypes.IntegerType.get(self._int_of(token, width),
+                                          signedness)
         match = _FLOAT_TYPE_RE.match(name)
         if match:
-            return btypes.FloatType.get(int(match.group(1)))
+            return btypes.FloatType.get(self._int_of(token, match.group(1)))
         if name == "index":
             return btypes.index
         raise self.error(f"unknown builtin type {name!r}", token)
@@ -334,7 +336,7 @@ class IRParser(TokenCursor):
                 shape.append(btypes.DYNAMIC)
             elif tok.kind is TokenKind.INTEGER:
                 self.next()
-                shape.append(int(tok.text))
+                shape.append(self._int_of(tok))
             elif tok.kind is TokenKind.BARE_IDENT:
                 self.next()
                 element = self._scan_shape_word(tok, shape)
@@ -366,7 +368,7 @@ class IRParser(TokenCursor):
             if part == "?":
                 shape.append(btypes.DYNAMIC)
             elif part.isdigit():
-                shape.append(int(part))
+                shape.append(self._int_of(token, part))
             else:
                 element_text = "x".join(parts[index:])
                 if element_text in ("tensor", "vector", "memref"):
@@ -502,7 +504,7 @@ class IRParser(TokenCursor):
                 follow,
             )
         self.next()
-        bits = int(follow.text[1:], 16)
+        bits = self._int_of(follow, follow.text[1:], 16)
         return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
     def _parse_numeric_param(self) -> Any:
@@ -517,7 +519,7 @@ class IRParser(TokenCursor):
                 match = _FLOAT_TYPE_RE.match(suffix.text)
                 if not match:
                     raise self.error(f"invalid float suffix {suffix.text!r}", suffix)
-                width = int(match.group(1))
+                width = self._int_of(suffix, match.group(1))
             return FloatParam(value, width)
         token = self.expect(TokenKind.INTEGER, "integer literal")
         hex_value = self._accept_hex_float(token, negative)
@@ -530,9 +532,9 @@ class IRParser(TokenCursor):
                 ):
                     self.next()
                     self.next()
-                    width = int(suffix.text[1:])
+                    width = self._int_of(suffix, suffix.text[1:])
             return FloatParam(hex_value, width)
-        value = int(token.text)
+        value = self._int_of(token)
         value = -value if negative else value
         bitwidth, signed = 32, True
         if self.peek().kind is TokenKind.COLON:
@@ -543,12 +545,12 @@ class IRParser(TokenCursor):
                 match = _PARAM_INT_RE.match(suffix.text)
                 assert match is not None
                 signed = match.group(1) != "u"
-                bitwidth = int(match.group(2))
+                bitwidth = self._int_of(suffix, match.group(2))
             elif suffix.kind is TokenKind.BARE_IDENT and _FLOAT_TYPE_RE.match(suffix.text):
                 self.next()
                 self.next()
                 return FloatParam(self._float_of(value, token),
-                                  int(suffix.text[1:]))
+                                  self._int_of(suffix, suffix.text[1:]))
             elif suffix.kind is TokenKind.BARE_IDENT and self._is_builtin_type_name(
                 suffix.text
             ):
@@ -599,9 +601,11 @@ class IRParser(TokenCursor):
         self.expect(TokenKind.LPAREN, "'('")
         filename = self.expect(TokenKind.STRING, "filename string").value
         self.expect(TokenKind.COLON, "':'")
-        line = int(self.expect(TokenKind.INTEGER, "line number").text)
+        line = self._int_of(self.expect(TokenKind.INTEGER, "line number"))
         self.expect(TokenKind.COLON, "':'")
-        column = int(self.expect(TokenKind.INTEGER, "column number").text)
+        column = self._int_of(
+            self.expect(TokenKind.INTEGER, "column number")
+        )
         self.expect(TokenKind.RPAREN, "')'")
         return LocationParam(filename, line, column)
 
@@ -686,7 +690,8 @@ class IRParser(TokenCursor):
             if self.accept(TokenKind.COLON):
                 attr_type = self._type()
             return battrs.FloatAttr.get(hex_value, attr_type)
-        int_value = -int(token.text) if negative else int(token.text)
+        int_value = self._int_of(token)
+        int_value = -int_value if negative else int_value
         if self.accept(TokenKind.COLON):
             attr_type = self._type()
             if isinstance(attr_type, btypes.FloatType):
@@ -694,6 +699,22 @@ class IRParser(TokenCursor):
                                             attr_type)
             return self._integer_attr(int_value, attr_type, token)
         return self._integer_attr(int_value, None, token)
+
+    def _int_of(self, token: Token, text: str | None = None,
+                base: int = 10) -> int:
+        """``int(text, base)``, ``text`` being the digits of ``token``
+        (all of its text by default); a literal past Python's limit on
+        integer string conversion is an error at ``token``."""
+        if text is None:
+            text = token.text
+        try:
+            return int(text, base)
+        except ValueError:
+            raise self.error(
+                f"integer literal of {len(text)} digits exceeds the limit "
+                f"of {sys.get_int_max_str_digits()} digits",
+                token,
+            ) from None
 
     def _float_of(self, value: int, token: Token) -> float:
         """``float(value)``; an integer literal past the largest double
@@ -969,9 +990,13 @@ class IRParser(TokenCursor):
         if token.kind is TokenKind.STRING:
             filename = self.next().value
             self.expect(TokenKind.COLON, "':'")
-            line = int(self.expect(TokenKind.INTEGER, "line number").text)
+            line = self._int_of(
+                self.expect(TokenKind.INTEGER, "line number")
+            )
             self.expect(TokenKind.COLON, "':'")
-            col = int(self.expect(TokenKind.INTEGER, "column number").text)
+            col = self._int_of(
+                self.expect(TokenKind.INTEGER, "column number")
+            )
             return FileLineColLoc(filename, line, col)
         raise self.error(
             f"expected a location, found {token.text!r}", token

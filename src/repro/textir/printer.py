@@ -13,7 +13,7 @@ Operations whose definition declares a custom assembly format (IRDL's
 from __future__ import annotations
 
 import io
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from repro.ir.attributes import (
     Attribute,
@@ -22,7 +22,7 @@ from repro.ir.attributes import (
     attribute_name,
 )
 from repro.ir.block import Block
-from repro.ir.exceptions import InvalidIRStructureError
+from repro.ir.exceptions import InvalidIRStructureError, VerifyError
 from repro.ir.operation import Operation
 from repro.ir.params import ParamValue
 from repro.ir.region import MAX_NESTING, Region
@@ -50,11 +50,17 @@ class Printer:
         self._block_names: dict[Block, str] = {}
         self._next_value = 0
         self._next_block = 0
-        # Type spellings, each rendered once per printer (up to
-        # SPELLING_CACHE_LIMIT types).  Keyed by the type: equality is
-        # structural and bit-exact for float parameters, so equal types
-        # always print alike.
+        # Spellings rendered once per printer, each cache up to
+        # SPELLING_CACHE_LIMIT entries; later shapes print uncached.
+        # Keys compare structurally (float parameters bit-exact, integer
+        # ones as ints), so equal keys always print alike.
         self._type_spellings: dict[Attribute, str] = {}
+        # A one-line op's quoted name and "(", by op name.
+        self._heads: dict[str, str] = {}
+        # A one-line op's text after its operands: ")", the attribute
+        # dictionary and the signature, by operand types, result types
+        # and attribute items.
+        self._tails: dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     # Low-level emission
@@ -127,6 +133,19 @@ class Printer:
                 self._type_spellings[type_attr] = spelling
         return spelling
 
+    def _attribute_spelling(self, attr: Attribute) -> str:
+        """The text ``print_attribute`` writes for ``attr``."""
+        if isinstance(attr, DynamicParametrizedAttribute):
+            stream, self.stream = self.stream, io.StringIO()
+            try:
+                self.print_attribute(attr)
+                return self.stream.getvalue()
+            finally:
+                self.stream = stream
+        if isinstance(attr, TypeAttribute):
+            return self._type_spelling(attr)
+        return str(attr)
+
     def _print_dynamic_params(self, attr: DynamicParametrizedAttribute) -> None:
         if not attr.parameters:
             return
@@ -172,36 +191,77 @@ class Printer:
     # ------------------------------------------------------------------
 
     def print_op(self, op: Operation) -> None:
-        from repro.ir.exceptions import VerifyError
+        self._print_op(op, "")
 
-        if op.results:
-            name_of = self.name_of
-            self.write(", ".join(["%" + name_of(r) for r in op.results]))
-            self.write(" = ")
+    def _print_op(self, op: Operation, prefix: str) -> None:
+        """Write ``prefix``, then ``op``; an op printed on one line, with
+        ``prefix``, in one write."""
         definition = op.definition
         if definition is not None and definition.has_custom_format():
             try:
                 # Constraint-variable bindings are recovered before any
                 # text is emitted, so invalid IR falls back cleanly.
-                definition.prepare_custom(op)
+                bindings = definition.prepare_custom(op)
             except VerifyError:
-                self._print_generic(op)
+                pass
+            else:
+                self.write(prefix + self._defined(op) + op.name)
+                definition.print_custom(op, self, bindings)
                 self._print_location_suffix(op)
                 return
-            self.write(op.name)
-            definition.print_custom(op, self)
+        if op.regions or op.successors:
+            self.write(prefix + self._defined(op))
+            self._print_generic(op)
             self._print_location_suffix(op)
-            return
-        self._print_generic(op)
-        self._print_location_suffix(op)
+        else:
+            self.write(prefix + self._op_line(op))
+
+    def _op_line(self, op: Operation) -> str:
+        """The line of ``op`` in the generic form, with its ``loc(...)``
+        when locations print; ``op`` has no regions and no successors.
+
+        The quoted name and the text after the operands come from the
+        per-printer caches; only the value names are spelled per op.
+        """
+        defined = self._defined(op)
+        name = op.name
+        head = self._heads.get(name)
+        if head is None:
+            head = quote(name) + "("
+            if len(self._heads) < SPELLING_CACHE_LIMIT:
+                self._heads[name] = head
+        operands = op.operands
+        attributes = op.attributes
+        key = (tuple([v.type for v in operands]),
+               tuple([r.type for r in op.results]),
+               tuple(attributes.items()) if attributes else ())
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = ")" + self._attributes_and_signature(*key)
+            if len(self._tails) < SPELLING_CACHE_LIMIT:
+                self._tails[key] = tail
+        name_of = self.name_of
+        line = (defined + head
+                + ", ".join(["%" + name_of(v) for v in operands]) + tail)
+        if self.print_locations:
+            return f"{line} loc({op.location})"
+        return line
+
+    def _defined(self, op: Operation) -> str:
+        """``%a, %b = `` for the results of ``op``; naming them here, before
+        its operands, numbers a result ahead of a later-defined operand."""
+        if not op.results:
+            return ""
+        name_of = self.name_of
+        return ", ".join(["%" + name_of(r) for r in op.results]) + " = "
 
     def _print_location_suffix(self, op: Operation) -> None:
         if self.print_locations:
-            self.write(" loc(")
-            self.write(str(op.location))
-            self.write(")")
+            self.write(f" loc({op.location})")
 
     def _print_generic(self, op: Operation) -> None:
+        """Print ``op``, which has regions or successors, in the generic
+        form."""
         name_of = self.name_of
         operands = op.operands
         self.write(quote(op.name) + "("
@@ -216,19 +276,28 @@ class Printer:
             self.write(" (")
             self.print_list(op.regions, self.print_region)
             self.write(")")
-        if op.attributes:
-            self.write(" {")
-            self.print_list(sorted(op.attributes.items()), self._print_attr_entry)
-            self.write("}")
-        spell = self._type_spelling
-        self.write(" : (" + ", ".join([spell(v.type) for v in operands])
-                   + ") -> ("
-                   + ", ".join([spell(r.type) for r in op.results]) + ")")
+        self.write(self._attributes_and_signature(
+            [v.type for v in operands], [r.type for r in op.results],
+            op.attributes.items(),
+        ))
 
-    def _print_attr_entry(self, entry: tuple[str, Attribute]) -> None:
-        key, value = entry
-        self.write(f"{key} = ")
-        self.print_attribute(value)
+    def _attributes_and_signature(
+        self,
+        operand_types: Iterable[Attribute],
+        result_types: Iterable[Attribute],
+        attributes: Collection[tuple[str, Attribute]],
+    ) -> str:
+        """`` {key = value, ...} : (...) -> (...)``: the sorted attribute
+        dictionary, when there is one, and the signature."""
+        spell = self._type_spelling
+        signature = (" : (" + ", ".join(map(spell, operand_types)) + ") -> ("
+                     + ", ".join(map(spell, result_types)) + ")")
+        if not attributes:
+            return signature
+        attribute = self._attribute_spelling
+        return (" {" + ", ".join([f"{key} = {attribute(value)}"
+                                  for key, value in sorted(attributes)])
+                + "}" + signature)
 
     def print_region(self, region: Region) -> None:
         """Print ``region``; past ``MAX_NESTING`` open regions, raise
@@ -267,9 +336,10 @@ class Printer:
         self.print_type(arg.type)
 
     def _print_block_body(self, block: Block) -> None:
+        indent = "\n" + " " * (self._indent * self.indent_width)
+        print_op = self._print_op
         for op in block.ops:
-            self.newline()
-            self.print_op(op)
+            print_op(op, indent)
 
     # ------------------------------------------------------------------
 

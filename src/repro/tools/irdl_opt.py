@@ -492,23 +492,28 @@ def lint_files(
     """Lint IRDL files (and optionally pattern files) and report.
 
     Exit code: 0 when clean (at most notes), 1 when the worst finding
-    is a warning, 2 when any error is found (including files that fail
-    to parse or register).
+    is a warning, 2 when any error is found (including files that
+    cannot be read, or fail to parse or register).
     """
     from repro.server.session import Session
     from repro.tools.lint import exit_code, findings_to_json, render_findings
 
-    def read(path: str) -> tuple[str, str]:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read(), path
+    def read(path: str) -> tuple[str, str] | None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return handle.read(), path
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"error: cannot read {path}: {err}", file=sys.stderr)
+            return None
 
+    sources = [read(path) for path in paths]
+    pattern_sources = [read(path) for path in pattern_paths or []]
+    if None in sources or None in pattern_sources:
+        return 2
     try:
         # The daemon's lint request runs the same call, so both lint
         # with one context policy (Session.lint_sources).
-        findings = Session().lint_sources(
-            [read(path) for path in paths],
-            [read(path) for path in pattern_paths or []],
-        )
+        findings = Session().lint_sources(sources, pattern_sources)
     except DiagnosticError as err:
         print(err, file=sys.stderr)
         return 2

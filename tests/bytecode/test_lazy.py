@@ -10,6 +10,7 @@ real mmap, and regardless of forcing order.
 from __future__ import annotations
 
 import io
+import mmap
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.bytecode import (
     encode_module,
     encode_module_stream,
 )
+from repro.bytecode import lazy
 from repro.bytecode.wire import BytecodeError, varints
 from repro.corpus import (
     CORPUS_ORDER,
@@ -129,6 +131,33 @@ def test_mmap_open_from_file(tmp_path):
 def test_open_missing_file_raises_bytecode_error(tmp_path):
     with pytest.raises(BytecodeError):
         LazyModuleReader.open(cmath_context(), str(tmp_path / "nope.irbc"))
+
+
+@pytest.mark.parametrize("corrupt", ["header", "truncated"])
+def test_failed_open_closes_the_file_and_its_mapping(tmp_path, monkeypatch,
+                                                      corrupt):
+    if corrupt == "header":
+        data = b"IRBC\x01\x01garbage"
+    else:
+        stream = io.BytesIO()
+        encode_module_stream(synthesize_module(50, seed=1), stream)
+        data = stream.getvalue()[:len(stream.getvalue()) // 2]
+    path = tmp_path / "bad.irbc"
+    path.write_bytes(data)
+    opened = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+        return wrapper
+
+    monkeypatch.setattr(lazy, "open", recording(open), raising=False)
+    monkeypatch.setattr(mmap, "mmap", recording(mmap.mmap))
+    with pytest.raises(BytecodeError):
+        LazyModuleReader.open(default_context(), str(path))
+    assert len(opened) == 2  # the file, then its mapping
+    assert all(resource.closed for resource in opened)
 
 
 def test_out_of_order_forcing():

@@ -230,6 +230,35 @@ class TestFloatLiteralRange:
         assert "Traceback" not in result.stderr
 
 
+#: An integer literal past CPython's limit on integer string conversion
+#: (4,300 digits by default).
+LONG = "1" + "0" * 5000
+
+
+class TestIntegerLiteralDigits:
+    """An integer literal too long for ``int`` to convert is a parse
+    error at its token, typed as an integer or as a float, on both parse
+    paths."""
+
+    @SPLIT
+    @pytest.mark.parametrize("literal", [f"{LONG} : i64", f"{LONG} : f64"],
+                             ids=["i64", "f64"])
+    def test_literal_past_the_digit_limit_is_a_diagnostic(self, literal,
+                                                          split, tmp_path):
+        path = tmp_path / "in.mlir"
+        path.write_text(constant_op(literal, split))
+        line, column = (2, 14) if split else (1, 34)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.tools.irdl_opt", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 1
+        assert (f"{path}:{line}:{column}: error: integer literal of 5001 "
+                "digits exceeds the limit of") in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestOperations:
     def test_results_and_operands(self, ctx):
         module = parse_module(ctx, """

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from repro.corpus import cmath_source, dialect_source_path
 from repro.tools.irdl_opt import build_arg_parser, main
 
 README = Path(__file__).resolve().parents[2] / "README.md"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 GOOD_IR = """
 "func.func"() ({
@@ -543,6 +546,22 @@ class TestLintCli:
         exit_code = main(["--lint", path])
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contents", [None, b"\xff\xfe"],
+                             ids=["missing", "not UTF-8"])
+    def test_unreadable_file_exits_two(self, tmp_path, contents):
+        path = tmp_path / "d.irdl"
+        if contents is not None:
+            path.write_bytes(contents)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.tools.irdl_opt", "--lint",
+             str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: cannot read {path}: ")
+        assert "Traceback" not in result.stderr
 
     def test_suppressed_findings_drop_out(self, tmp_path, capsys):
         path = self.write_irdl(tmp_path, """
